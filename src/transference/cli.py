@@ -17,10 +17,10 @@ from . import ngram as N
 from .bpe import BpeModel, apply_bpe, decode_bpe, learn_bpe
 from .errors import ConfigError, StageError, TransferenceError
 from .metrics import bleu, evaluate_corpus, ter
-from .model import (Checkpoint, EOS_ID, ModelConfig, Vocab, init_params,
+from .model import (Checkpoint, ModelConfig, Vocab, init_params,
                     make_source_batch)
 from .pipeline import load_pipeline_config, run_pipeline
-from .search import beam_search_nbest, IncrementalDecoder, translate_batch
+from .search import translate_batch_nbest
 from .training import (PreparedPair, TrainConfig, average_checkpoints, train)
 
 
@@ -277,28 +277,15 @@ def _cmd_translate(args) -> int:
 
     batch = make_source_batch([word_vocab.encode(w) for w in word_lines],
                               [bpe_vocab.encode(s) for s in sub_lines])
+    pools = translate_batch_nbest(checkpoint, batch, beam=args.beam,
+                                  max_len=args.max_len, length_alpha=args.alpha)
     out_lines = []
-    if args.nbest:
-        for row in range(batch.f_s.shape[0]):
-            n_words = int((~batch.f_w_pad[row]).sum())
-            n_subs = int((~batch.f_s_pad[row]).sum())
-            single = make_source_batch([list(batch.f_w[row, :n_words])],
-                                       [list(batch.f_s[row, :n_subs])])
-            stepper = IncrementalDecoder(checkpoint, single)
-            ranked = beam_search_nbest(stepper, beam=args.beam,
-                                       max_len=args.max_len,
-                                       length_alpha=args.alpha)
-            for rank, hyp in enumerate(ranked[:args.nbest], 1):
-                tokens = [t for t in hyp.tokens if t != EOS_ID]
-                text = C.postprocess(decode_bpe(bpe_vocab.decode(tokens)))
-                score = hyp.normalized_score(args.alpha)
-                out_lines.append(f"{rank}\t{score:.6f}\t{text}")
-    else:
-        hyp_ids = translate_batch(checkpoint, batch, beam=args.beam,
-                                  max_len=args.max_len,
-                                  length_alpha=args.alpha)
-        for ids in hyp_ids:
-            out_lines.append(C.postprocess(decode_bpe(bpe_vocab.decode(ids))))
+    for pool in pools:
+        for rank, hyp in enumerate(pool[:args.nbest or 1], 1):
+            text = C.postprocess(decode_bpe(bpe_vocab.decode(hyp.output_ids())))
+            if args.nbest:
+                text = f"{rank}\t{hyp.normalized_score(args.alpha):.6f}\t{text}"
+            out_lines.append(text)
     if args.output:
         C.write_lines(args.output, out_lines)
     else:

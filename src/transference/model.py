@@ -10,6 +10,7 @@ subword encoder's.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import Counter
@@ -217,31 +218,43 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     return T.matmul(T.softmax(scores, axis=-1), v)
 
 
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    """[..., len, d_model] -> [..., heads, len, d_k]; head i takes columns
+    [i*d_k, (i+1)*d_k)."""
+    parts = T.reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
+    ndim = len(parts.shape)
+    return T.transpose(parts, tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1))
+
+
 def multi_head_attention(params: dict[str, Tensor], q_in: Tensor,
                          k_in: Tensor, v_in: Tensor,
-                         mask: np.ndarray | None, heads: int) -> Tensor:
+                         mask: np.ndarray | None, heads: int,
+                         kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """Per-head linear projections, parallel scaled-dot attention, concat,
     and the output projection.  ``params`` holds wq/wk/wv/wo, each
-    [d_model, d_model]; head i uses columns [i*d_k, (i+1)*d_k)."""
+    [d_model, d_model]; head i uses columns [i*d_k, (i+1)*d_k).
+
+    ``kv``, when given, holds keys and values already projected and split
+    into heads, [batch, heads, len, d_k], and ``k_in``/``v_in`` are not
+    read.  ``q_in`` may then be flat rows [batch * n, d_model]: each group
+    of n consecutive rows attends as the n queries of one batch entry, and
+    the output keeps the rows of ``q_in``."""
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
         raise ConfigError(f"d_model {d_model} not divisible by heads {heads}")
-    d_k = d_model // heads
-
-    def split(x: Tensor) -> Tensor:
-        parts = T.reshape(x, x.shape[:-1] + (heads, d_k))
-        ndim = len(parts.shape)
-        order = tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1)
-        return T.transpose(parts, order)
-
-    q = split(T.matmul(q_in, params["wq"]))
-    k = split(T.matmul(k_in, params["wk"]))
-    v = split(T.matmul(v_in, params["wv"]))
+    q = T.matmul(q_in, params["wq"])
+    if kv is None:
+        q = _split_heads(q, heads)
+        k = _split_heads(T.matmul(k_in, params["wk"]), heads)
+        v = _split_heads(T.matmul(v_in, params["wv"]), heads)
+    else:
+        k, v = kv
+        q = _split_heads(T.reshape(q, (k.shape[0], -1, d_model)), heads)
     heads_out = scaled_dot_attention(q, k, v, mask)
     ndim = len(heads_out.shape)
     order = tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1)
     merged = T.transpose(heads_out, order)
-    merged = T.reshape(merged, merged.shape[:-2] + (d_model,))
+    merged = T.reshape(merged, q_in.shape[:-1] + (d_model,))
     return T.matmul(merged, params["wo"])
 
 
@@ -265,11 +278,13 @@ def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 
 def _embed(table: Tensor, ids: np.ndarray, cfg: ModelConfig,
-           training: bool, rng) -> Tensor:
+           training: bool, rng, start: int = 0) -> Tensor:
+    """Scaled embeddings of ``ids`` plus the positional encoding of
+    positions start, start + 1, ..."""
     x = T.scale(T.embedding(table, ids), math.sqrt(cfg.d_model))
-    pe = positional_encoding(ids.shape[-1], cfg.d_model,
+    pe = positional_encoding(start + ids.shape[-1], cfg.d_model,
                              cfg.max_positions + 1, dtype=table.data.dtype)
-    x = T.add(x, T.constant(pe))
+    x = T.add(x, T.constant(pe[start:]))
     return T.dropout(x, cfg.dropout, training, rng)
 
 
@@ -330,43 +345,145 @@ def encode(config: ModelConfig, params: dict[str, Tensor],
     return EncodedSource(enc1, enc2, y, batch.f_w_pad, batch.f_s_pad)
 
 
+class DecoderCache:
+    """Decoder state for decoding one position at a time with
+    ``decode_forward``.
+
+    Per decoder layer it holds the self-attention keys and values of
+    every position decoded so far, in arrays [rows, heads, capacity, d_k]
+    allocated once, and the cross-attention keys and values of the bridge
+    output, projected on first use.  ``ids`` records the decoded token ids.
+    Consecutive groups of rows decode the same source sentence: with n
+    sources, row r reads source r // (rows // n).
+    """
+
+    def __init__(self, config: ModelConfig, rows: int, capacity: int,
+                 dtype=np.float32):
+        shape = (rows, config.heads, capacity, config.d_k)
+        self.ids = np.full((rows, capacity), PAD_ID, dtype=np.int64)
+        self.keys = [np.empty(shape, dtype) for _ in range(config.n_layers_dec)]
+        self.values = [np.empty(shape, dtype) for _ in range(config.n_layers_dec)]
+        self.cross: list[tuple[Tensor, Tensor]] | None = None
+        self.length = 0
+
+    @property
+    def rows(self) -> int:
+        return self.ids.shape[0]
+
+    def reorder(self, parents: np.ndarray) -> None:
+        """Row r continues the hypothesis of row ``parents[r]``; rows keep
+        their source sentence, so parents stay within a row's group."""
+        n = self.length
+        self.ids[:, :n] = self.ids[parents, :n]
+        for arr in self.keys + self.values:
+            arr[:, :, :n] = arr[parents, :, :n]
+
+    def copy(self) -> "DecoderCache":
+        """An independent copy; the read-only cross-attention projections
+        are shared."""
+        twin = copy.copy(self)
+        twin.ids = self.ids.copy()
+        twin.keys = [a.copy() for a in self.keys]
+        twin.values = [a.copy() for a in self.values]
+        return twin
+
+
+def _cross_kv(memory: Tensor, params: dict[str, Tensor], prefix: str,
+              heads: int) -> tuple[Tensor, Tensor]:
+    """Cross-attention keys and values of the bridge output, split into
+    heads."""
+    return tuple(
+        _split_heads(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"]), heads)
+        for w in ("wk", "wv"))
+
+
+def _append_kv(store: np.ndarray, y: Tensor, weight: Tensor,
+               rows_shape: tuple[int, ...], start: int, heads: int) -> Tensor:
+    """Project the new positions ``y`` (flat rows), write them into the
+    cache array ``store`` after ``start`` cached positions, and return all
+    positions so far."""
+    end = start + rows_shape[1]
+    new = _split_heads(T.reshape(T.matmul(y, weight), rows_shape), heads)
+    store[:, :, start:end] = new.data
+    return T.constant(store[:, :, :end])
+
+
 def decode_forward(config: ModelConfig, params: dict[str, Tensor],
                    encoded: EncodedSource, target_prefix_ids: np.ndarray,
-                   training: bool = False, rng=None) -> Tensor:
+                   training: bool = False, rng=None,
+                   cache: DecoderCache | None = None) -> Tensor:
     """Causally masked decoder over BPE ids attending to the bridge
     output; returns logits [batch, tgt_len, bpe_vocab].
 
     Sequences may be one position longer than ``max_positions`` to make
     room for the BOS offset.
+
+    With a ``cache``, ``target_prefix_ids`` [cache.rows, n] holds the next
+    n positions of every cached row: they attend to the cached positions
+    and to each other, their keys and values join the cache, and the
+    logits cover only them.  Each weight product then runs once over all
+    rows as a [rows * n, d_model] matrix.
     """
     ids = np.asarray(target_prefix_ids)
-    tgt_len = ids.shape[-1]
-    if tgt_len > config.max_positions + 1:
+    start = 0 if cache is None else cache.length
+    end = start + ids.shape[-1]
+    if end > config.max_positions + 1:
         raise ContractError(
-            f"target length {tgt_len} exceeds max positions {config.max_positions}")
+            f"target length {end} exceeds max positions {config.max_positions}")
     if ids.size and ids.max() >= config.bpe_vocab_size:
         raise ContractError("target ids exceed the BPE vocabulary")
     dtype = params["embed/bpe"].data.dtype
-    mask = causal_attention_mask(tgt_len, dtype) + padding_attention_mask(
-        (ids == PAD_ID), dtype)
+    memory = encoded.enc12_out
+    if cache is not None:
+        if ids.shape[0] != cache.rows or cache.rows % memory.shape[0]:
+            raise ContractError(
+                f"{ids.shape[0]} target rows for a cache of {cache.rows} rows "
+                f"over {memory.shape[0]} sources")
+        if end > cache.ids.shape[1]:
+            raise ContractError(
+                f"target length {end} exceeds the cache's {cache.ids.shape[1]} positions")
+        cache.ids[:, start:end] = ids
+        ids_so_far = cache.ids[:, :end]
+    else:
+        ids_so_far = ids
+    mask = causal_attention_mask(end, dtype)[:, :, start:] + padding_attention_mask(
+        (ids_so_far == PAD_ID), dtype)
     cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
 
-    y = _embed(params["embed/bpe"], ids, config, training, rng)
+    y = _embed(params["embed/bpe"], ids, config, training, rng, start)
+    if cache is not None:
+        rows_shape = y.shape
+        y = T.reshape(y, (-1, config.d_model))
+        if cache.cross is None:
+            cache.cross = [
+                _cross_kv(memory, params, f"decoder/layer_{i}", config.heads)
+                for i in range(config.n_layers_dec)]
     for i in range(config.n_layers_dec):
         prefix = f"decoder/layer_{i}"
-        attn = multi_head_attention(_attn_params(params, f"{prefix}/self_attn"),
-                                    y, y, y, mask, config.heads)
+        self_params = _attn_params(params, f"{prefix}/self_attn")
+        self_kv = cross_kv = None
+        if cache is not None:
+            self_kv = tuple(
+                _append_kv(store, y, self_params[w], rows_shape, start, config.heads)
+                for w, store in (("wk", cache.keys[i]), ("wv", cache.values[i])))
+            cross_kv = cache.cross[i]
+        attn = multi_head_attention(self_params, y, y, y, mask, config.heads,
+                                    self_kv)
         y = _sublayer(y, attn, params, f"{prefix}/self_attn_norm",
                       config, training, rng)
         cross = multi_head_attention(_attn_params(params, f"{prefix}/cross_attn"),
-                                     y, encoded.enc12_out, encoded.enc12_out,
-                                     cross_mask, config.heads)
+                                     y, memory, memory, cross_mask, config.heads,
+                                     cross_kv)
         y = _sublayer(y, cross, params, f"{prefix}/cross_attn_norm",
                       config, training, rng)
         y = _sublayer(y, _ffn(y, params, f"{prefix}/ffn"),
                       params, f"{prefix}/ffn_norm", config, training, rng)
 
-    return T.add(T.matmul(y, params["output/weight"]), params["output/bias"])
+    logits = T.add(T.matmul(y, params["output/weight"]), params["output/bias"])
+    if cache is None:
+        return logits
+    cache.length = end
+    return T.reshape(logits, rows_shape[:-1] + (config.bpe_vocab_size,))
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -432,3 +549,21 @@ def make_source_batch(word_ids: list[list[int]],
     f_w, f_w_pad = pad(word_ids)
     f_s, f_s_pad = pad(sub_ids)
     return SourceBatch(f_w, f_w_pad, f_s, f_s_pad)
+
+
+def check_source(source: SourceBatch, max_positions: int) -> None:
+    """Raise ``ContractError`` naming the first sentence of ``source``
+    that a model of ``max_positions`` cannot encode and decode: one with
+    no words or subwords, or with more than ``max_positions + 1`` of
+    either."""
+    if source.f_s.shape[0] == 0:
+        raise ContractError("empty source batch")
+    n_subs = (~source.f_s_pad).sum(axis=1).tolist()
+    n_words = (~source.f_w_pad).sum(axis=1).tolist()
+    for row, (subs, words) in enumerate(zip(n_subs, n_words)):
+        if subs == 0 or words == 0:
+            raise ContractError(f"source sentence {row} is empty")
+        if max(subs, words) > max_positions + 1:
+            raise ContractError(
+                f"source sentence {row} has {subs} subwords and {words} words; "
+                f"the model takes at most {max_positions + 1}")

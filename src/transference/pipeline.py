@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from . import corpus as C
 from . import ngram as N
 from .bpe import apply_bpe, decode_bpe, learn_bpe
-from .errors import ConfigError, StageError
+from .errors import ConfigError, ContractError, StageError
 from .metrics import EvalReport, evaluate_corpus
-from .model import Checkpoint, ModelConfig, Vocab, init_params, make_source_batch
+from .model import (Checkpoint, ModelConfig, SourceBatch, Vocab, check_source,
+                    init_params, make_source_batch)
 from .search import translate_batch
 from .training import PreparedPair, TrainConfig, train
 
@@ -418,6 +419,21 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
                + sorted(bpe_paths.values()),
                stage_bpe)
 
+    # -- the in-domain source as the translate stage decodes it; a line it
+    # cannot decode fails the run here, before training spends its time
+    def indomain_batch() -> SourceBatch:
+        word_vocab = Vocab.load(paths["word_vocab"])
+        bpe_vocab = Vocab.load(paths["bpe_vocab"])
+        words = _read_token_lines(paths["dev_src"] + ".tc")
+        subs = _read_token_lines(bpe_paths["indomain.src"])
+        return make_source_batch([word_vocab.encode(w) for w in words],
+                                 [bpe_vocab.encode(s) for s in subs])
+
+    try:
+        check_source(indomain_batch(), cfg.model.max_positions)
+    except ContractError as exc:
+        raise StageError("translate", exc) from exc
+
     # -- train: generic phase then fine-tuning, then averaging ---------
     def prepare(split: str, word_src_path: str) -> list[PreparedPair]:
         word_vocab = Vocab.load(paths["word_vocab"])
@@ -461,14 +477,9 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
 
     # -- translate: beam-decode the in-domain source -------------------
     def stage_translate():
-        word_vocab = Vocab.load(paths["word_vocab"])
         bpe_vocab = Vocab.load(paths["bpe_vocab"])
         checkpoint = Checkpoint.load(paths["averaged"])
-        words = _read_token_lines(paths["dev_src"] + ".tc")
-        subs = _read_token_lines(bpe_paths["indomain.src"])
-        batch = make_source_batch([word_vocab.encode(w) for w in words],
-                                  [bpe_vocab.encode(s) for s in subs])
-        hyp_ids = translate_batch(checkpoint, batch, beam=cfg.beam,
+        hyp_ids = translate_batch(checkpoint, indomain_batch(), beam=cfg.beam,
                                   max_len=cfg.decode_max_len,
                                   length_alpha=cfg.length_alpha)
         hyp_lines = [" ".join(bpe_vocab.decode(ids)) for ids in hyp_ids]

@@ -1,24 +1,30 @@
 """Beam-search decoding.
 
-The search itself is generic over a "stepper" (anything with
-``initial()`` and ``advance(state, token)`` returning states that carry
-the log-probabilities of the next token), so tests can drive it with stub
-distributions.  ``IncrementalDecoder`` is the stepper for a real
-checkpoint: it caches per-layer self-attention keys/values per hypothesis
-and precomputes the cross-attention projections of the bridge output once
-per sentence."""
+``translate_batch_nbest`` decodes many sentences in lockstep: one padded
+encoder batch, then per step one ``model.decode_forward`` call over every
+live hypothesis of every sentence against a ``model.DecoderCache``, whose
+rows are gathered by parent index after each selection.
+``beam_search_nbest`` is the same search over a generic "stepper" (anything
+with ``initial()``, ``advance(state, token)`` and ``logprobs(state)``), so
+tests can drive it with stub distributions; ``IncrementalDecoder`` is such
+a stepper over a checkpoint.  Both share the tie-break rules of ``_expand``.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError
-from .model import (BOS_ID, Checkpoint, EOS_ID, SourceBatch, EncodedSource,
-                    encode, positional_encoding)
-from .tensor import MASK_VALUE
+from .model import (BOS_ID, Checkpoint, DecoderCache, EOS_ID, EncodedSource,
+                    PAD_ID, SourceBatch, check_source, decode_forward, encode)
+
+# Sentences decoded together: at most _CHUNK_SENTENCES, and fewer when their
+# self-attention caches would pass _CACHE_BYTES.
+_CHUNK_SENTENCES = 64
+_CACHE_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -35,12 +41,56 @@ class Hypothesis:
             return self.logprob
         return self.logprob / (len(self.tokens) ** length_alpha)
 
+    def output_ids(self) -> list[int]:
+        """The tokens without the final EOS."""
+        return list(self.tokens[:-1] if self.finished else self.tokens)
 
-@dataclass(frozen=True)
-class _BeamItem:
-    tokens: tuple[int, ...]
-    logprob: float
-    state: object
+
+def _top_tokens(logprobs: np.ndarray, k: int) -> np.ndarray:
+    """[rows, k]: each row's k largest entries, best first and ties to the
+    lower id, as ``argsort(-logprobs, kind="stable")[:, :k]`` but sorting
+    only the entries at or above each row's k-th largest value."""
+    kth = np.partition(logprobs, -k, axis=1)[:, -k]
+    row, token = np.nonzero(logprobs >= kth[:, None])
+    order = np.lexsort((token, -logprobs[row, token], row))
+    row, token = row[order], token[order]
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    return token[rank < k].reshape(-1, k)
+
+
+def _expand(scores: np.ndarray, logprobs: np.ndarray, group: np.ndarray,
+            beam: int, eos_id: int):
+    """One beam step.  Row r extends a hypothesis of score ``scores[r]``
+    by next-token log-probabilities ``logprobs[r]``; ``group``
+    (non-decreasing) names each row's sentence, whose rows come in
+    hypothesis order.  The rules:
+
+    - each row proposes its top ``beam + 1`` tokens (``_top_tokens``);
+    - a sentence's candidates are ordered by (-score, row, token);
+    - EOS candidates finish and take no beam slot, the first ``beam``
+      others stay live, and candidates scoring -inf are dropped.
+
+    Returns arrays (row, token, score, rank) of the finished and live
+    candidates in that order; rank is the live slot within the sentence,
+    -1 for a finished one."""
+    k = min(beam + 1, logprobs.shape[1])
+    row = np.repeat(np.arange(len(scores)), k)
+    token = _top_tokens(logprobs, k).ravel()
+    score = scores[row] + logprobs[row, token]
+    keep = score > -np.inf
+    row, token, score = row[keep], token[keep], score[keep]
+    order = np.lexsort((token, row, -score, group[row]))
+    row, token, score = row[order], token[order], score[order]
+    rank = np.full(len(row), -1)
+    stay = np.flatnonzero(token != eos_id)
+    stay_group = group[row[stay]]
+    rank[stay] = np.arange(len(stay)) - np.searchsorted(stay_group, stay_group)
+    keep = rank < beam
+    return row[keep], token[keep], score[keep], rank[keep]
+
+
+def _ranked(pool: list[Hypothesis], length_alpha: float) -> list[Hypothesis]:
+    return sorted(pool, key=lambda h: (-h.normalized_score(length_alpha), h.tokens))
 
 
 def beam_search_nbest(stepper, beam: int = 4, max_len: int = 256,
@@ -48,35 +98,26 @@ def beam_search_nbest(stepper, beam: int = 4, max_len: int = 256,
                       eos_id: int = EOS_ID) -> list[Hypothesis]:
     """All finished hypotheses plus the unfinished beam at ``max_len``,
     ranked by logprob / length^alpha.  Deterministic: every tie is broken
-    by token ids."""
+    by token ids (see ``_expand``)."""
     if beam < 1:
         raise ContractError(f"beam must be >= 1, got {beam}")
-    live = [_BeamItem((), 0.0, stepper.initial())]
+    live = [((), 0.0, stepper.initial())]       # (tokens, logprob, state)
     finished: list[Hypothesis] = []
     for _ in range(max_len):
-        candidates = []
-        for hyp_idx, item in enumerate(live):
-            logprobs = stepper.logprobs(item.state)
-            top = np.argsort(-logprobs, kind="stable")[:beam + 1]
-            for token in top:
-                candidates.append((item.logprob + float(logprobs[token]),
-                                   hyp_idx, int(token)))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        new_live: list[_BeamItem] = []
-        for score, hyp_idx, token in candidates:
-            item = live[hyp_idx]
-            if token == eos_id:
-                finished.append(Hypothesis(item.tokens + (token,), score, True))
-            elif len(new_live) < beam:
-                new_live.append(_BeamItem(item.tokens + (token,), score,
-                                          stepper.advance(item.state, token)))
-        live = new_live
+        logprobs = np.stack([stepper.logprobs(state) for _, _, state in live])
+        scores = np.array([logprob for _, logprob, _ in live])
+        parents, live = live, []
+        for r, t, s, rank in zip(*(a.tolist() for a in _expand(
+                scores, logprobs, np.zeros(len(scores), int), beam, eos_id))):
+            tokens, _, state = parents[r]
+            if rank < 0:
+                finished.append(Hypothesis(tokens + (t,), s, True))
+            else:
+                live.append((tokens + (t,), s, stepper.advance(state, t)))
         if not live:
             break
-    pool = finished + [Hypothesis(item.tokens, item.logprob, False)
-                       for item in live]
-    pool.sort(key=lambda h: (-h.normalized_score(length_alpha), h.tokens))
-    return pool
+    pool = finished + [Hypothesis(tokens, s, False) for tokens, s, _ in live]
+    return _ranked(pool, length_alpha)
 
 
 def beam_search(stepper, beam: int = 4, max_len: int = 256,
@@ -94,157 +135,126 @@ def _stable_log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _stable_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+class _DecoderState(NamedTuple):
+    cache: DecoderCache
+    next_logprobs: np.ndarray
 
-
-class _DecoderState:
-    """Per-hypothesis cache: length decoded so far plus, per layer, the
-    accumulated self-attention keys and values [heads, t, d_k]."""
-
-    __slots__ = ("length", "keys", "values", "next_logprobs")
-
-    def __init__(self, length, keys, values, next_logprobs):
-        self.length = length
-        self.keys = keys
-        self.values = values
-        self.next_logprobs = next_logprobs
+    @property
+    def length(self) -> int:
+        return self.cache.length
 
 
 class IncrementalDecoder:
-    """Single-sentence stepper over a loaded checkpoint.
-
-    The source is encoded once; cross-attention keys/values are projected
-    once per layer.  ``advance`` runs the decoder stack for one position
-    only, against cached keys/values, and never mutates the given state,
-    so beam hypotheses can fork freely.
-    """
+    """Single-sentence stepper over a loaded checkpoint: each state holds
+    a one-row ``DecoderCache``, and ``advance`` decodes one position on a
+    copy of it, so the given state never changes and hypotheses can fork
+    freely."""
 
     def __init__(self, checkpoint: Checkpoint, source: SourceBatch,
                  encoded: EncodedSource | None = None):
         if source.f_s.shape[0] != 1:
             raise ContractError("IncrementalDecoder decodes one sentence at a time")
-        if source.f_s.shape[1] == 0 or bool(source.f_s_pad.all()):
-            raise ContractError("cannot decode an empty source sentence")
-        cfg = checkpoint.config
-        self.cfg = cfg
-        self.heads = cfg.heads
-        self.d_k = cfg.d_k
-        self.p = {name: t.data for name, t in checkpoint.params.items()}
-        if encoded is None:
-            encoded = encode(cfg, checkpoint.params, source, training=False)
-        memory = encoded.enc12_out.data[0]          # [src_len, d_model]
-        self.cross_bias = np.where(source.f_s_pad[0], MASK_VALUE, 0.0).astype(memory.dtype)
-        self.cross_k = []
-        self.cross_v = []
-        for i in range(cfg.n_layers_dec):
-            prefix = f"decoder/layer_{i}/cross_attn"
-            k = memory @ self.p[f"{prefix}/wk"]
-            v = memory @ self.p[f"{prefix}/wv"]
-            self.cross_k.append(self._split(k))    # [heads, src_len, d_k]
-            self.cross_v.append(self._split(v))
-        self.pe = positional_encoding(cfg.max_positions + 1, cfg.d_model,
-                                      cfg.max_positions + 1, dtype=memory.dtype)
-
-    def _split(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(x.shape[0], self.heads, self.d_k).transpose(1, 0, 2)
-
-    def _norm(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        x_hat = centered / np.sqrt(var + x.dtype.type(1e-6))
-        return x_hat * self.p[f"{prefix}/gain"] + self.p[f"{prefix}/bias"]
+        self.cfg, self.params = checkpoint.config, checkpoint.params
+        check_source(source, self.cfg.max_positions)
+        self.encoded = encoded if encoded is not None else encode(
+            self.cfg, self.params, source, training=False)
+        self._empty = DecoderCache(self.cfg, 1, self.cfg.max_positions + 1,
+                                   self.encoded.enc12_out.dtype)
 
     def initial(self) -> _DecoderState:
-        layers = self.cfg.n_layers_dec
-        empty_k = [np.zeros((self.heads, 0, self.d_k), dtype=self.pe.dtype)
-                   for _ in range(layers)]
-        empty_v = [np.zeros((self.heads, 0, self.d_k), dtype=self.pe.dtype)
-                   for _ in range(layers)]
-        state = _DecoderState(0, empty_k, empty_v, None)
-        return self._step(state, BOS_ID)
+        return self._step(self._empty, BOS_ID)
 
     def advance(self, state: _DecoderState, token: int) -> _DecoderState:
-        return self._step(state, token)
+        return self._step(state.cache, token)
 
     def logprobs(self, state: _DecoderState) -> np.ndarray:
         return state.next_logprobs
 
-    def _step(self, state: _DecoderState, token: int) -> _DecoderState:
-        cfg = self.cfg
-        pos = state.length
-        if pos >= cfg.max_positions + 1:
-            raise ContractError("decoder ran past max positions")
-        x = (self.p["embed/bpe"][token] * self.pe.dtype.type(math.sqrt(cfg.d_model))
-             + self.pe[pos])
-        new_keys = []
-        new_values = []
-        for i in range(cfg.n_layers_dec):
-            prefix = f"decoder/layer_{i}"
-            q = self._split((x[None, :] @ self.p[f"{prefix}/self_attn/wq"]))
-            k_new = self._split(x[None, :] @ self.p[f"{prefix}/self_attn/wk"])
-            v_new = self._split(x[None, :] @ self.p[f"{prefix}/self_attn/wv"])
-            keys = np.concatenate([state.keys[i], k_new], axis=1)
-            values = np.concatenate([state.values[i], v_new], axis=1)
-            new_keys.append(keys)
-            new_values.append(values)
-            scores = np.matmul(q, keys.transpose(0, 2, 1)) / math.sqrt(self.d_k)
-            weights = _stable_softmax(scores)
-            ctx = np.matmul(weights, values)        # [heads, 1, d_k]
-            ctx = ctx.transpose(1, 0, 2).reshape(cfg.d_model)
-            x = self._norm(x + ctx @ self.p[f"{prefix}/self_attn/wo"],
-                           f"{prefix}/self_attn_norm")
+    def _step(self, cache: DecoderCache, token: int) -> _DecoderState:
+        cache = cache.copy()
+        logits = decode_forward(self.cfg, self.params, self.encoded,
+                                np.array([[token]]), cache=cache)
+        return _DecoderState(cache, _stable_log_softmax(logits.data[0, -1]))
 
-            q2 = self._split(x[None, :] @ self.p[f"{prefix}/cross_attn/wq"])
-            scores = (np.matmul(q2, self.cross_k[i].transpose(0, 2, 1))
-                      / math.sqrt(self.d_k)) + self.cross_bias
-            weights = _stable_softmax(scores)
-            ctx = np.matmul(weights, self.cross_v[i])
-            ctx = ctx.transpose(1, 0, 2).reshape(cfg.d_model)
-            x = self._norm(x + ctx @ self.p[f"{prefix}/cross_attn/wo"],
-                           f"{prefix}/cross_attn_norm")
 
-            hidden = np.maximum(x @ self.p[f"{prefix}/ffn/w1"]
-                                + self.p[f"{prefix}/ffn/b1"], 0)
-            x = self._norm(x + (hidden @ self.p[f"{prefix}/ffn/w2"]
-                                + self.p[f"{prefix}/ffn/b2"]),
-                           f"{prefix}/ffn_norm")
+def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,
+              max_len: int) -> list[list[Hypothesis]]:
+    """Beam search over every sentence of ``source`` at once; returns each
+    sentence's unranked pool.  Sentence s owns the ``beam`` cache rows
+    from s * beam; a row without a live hypothesis scores -inf."""
+    cfg, params = checkpoint.config, checkpoint.params
+    encoded = encode(cfg, params, source, training=False)
+    n = source.f_s.shape[0]
+    rows = n * beam
+    group = np.arange(rows) // beam
+    cache = DecoderCache(cfg, rows, max_len + 1, encoded.enc12_out.dtype)
+    scores = np.where(np.arange(rows) % beam == 0, 0.0, -np.inf)
+    tokens = np.full(rows, BOS_ID)
+    pools: list[list[Hypothesis]] = [[] for _ in range(n)]
+    for step in range(max_len):
+        logits = decode_forward(cfg, params, encoded, tokens[:, None], cache=cache)
+        logprobs = _stable_log_softmax(logits.data[:, -1])
+        # <pad> and <s> are never outputs; the rest are not renormalized.
+        logprobs[:, [PAD_ID, BOS_ID]] = -np.inf
+        row, token, score, rank = _expand(scores, logprobs, group, beam, EOS_ID)
+        live = rank >= 0
+        last = step == max_len - 1 or not live.any()
+        out = ~live | last
+        for r, prefix, t, s, done in zip(row[out].tolist(),
+                                         cache.ids[row[out], 1:step + 1].tolist(),
+                                         token[out].tolist(), score[out].tolist(),
+                                         (~live[out]).tolist()):
+            pools[r // beam].append(Hypothesis(tuple(prefix) + (t,), s, done))
+        if last:
+            break
+        slots = group[row[live]] * beam + rank[live]
+        parents = np.arange(rows)
+        parents[slots] = row[live]
+        cache.reorder(parents)
+        scores = np.full(rows, -np.inf)
+        scores[slots] = score[live]
+        tokens = np.full(rows, EOS_ID)
+        tokens[slots] = token[live]
+    return pools
 
-        logits = x @ self.p["output/weight"] + self.p["output/bias"]
-        return _DecoderState(pos + 1, new_keys, new_values,
-                             _stable_log_softmax(logits))
+
+def translate_batch_nbest(checkpoint: Checkpoint, source: SourceBatch,
+                          beam: int = 4, max_len: int = 256,
+                          length_alpha: float = 1.0) -> list[list[Hypothesis]]:
+    """Beam-decode each sentence of a batch against a shared read-only
+    checkpoint; per sentence, all finished hypotheses plus the unfinished
+    beam at ``max_len``, ranked as by ``beam_search_nbest``.  ``max_len``
+    is clamped to the checkpoint's position limit."""
+    if beam < 1:
+        raise ContractError(f"beam must be >= 1, got {beam}")
+    cfg = checkpoint.config
+    check_source(source, cfg.max_positions)
+    max_len = min(max_len, cfg.max_positions)
+    n = source.f_s.shape[0]
+    if max_len < 1:
+        return [[Hypothesis((), 0.0, False)] for _ in range(n)]
+    itemsize = checkpoint.params["embed/bpe"].dtype.itemsize
+    per_sentence = 2 * beam * (max_len + 1) * cfg.d_model * cfg.n_layers_dec * itemsize
+    chunk = max(1, min(_CHUNK_SENTENCES, _CACHE_BYTES // per_sentence))
+    pools = []
+    for lo in range(0, n, chunk):
+        rows = slice(lo, lo + chunk)
+        # the chunk without the pad columns all its rows share
+        n_w = int(np.flatnonzero(~source.f_w_pad[rows].all(axis=0))[-1]) + 1
+        n_s = int(np.flatnonzero(~source.f_s_pad[rows].all(axis=0))[-1]) + 1
+        part = SourceBatch(source.f_w[rows, :n_w], source.f_w_pad[rows, :n_w],
+                           source.f_s[rows, :n_s], source.f_s_pad[rows, :n_s])
+        pools += _lockstep(checkpoint, part, beam, max_len)
+    return [_ranked(pool, length_alpha) for pool in pools]
 
 
 def translate_batch(checkpoint: Checkpoint, source: SourceBatch,
                     beam: int = 4, max_len: int = 256,
                     length_alpha: float = 1.0) -> list[list[int]]:
-    """Beam-decode each sentence of a batch against a shared read-only
-    checkpoint; returns BPE ids without BOS/EOS.  ``max_len`` is clamped
-    to the checkpoint's position limit."""
-    if source.f_s.shape[0] == 0:
-        raise ContractError("empty source batch")
-    max_len = min(max_len, checkpoint.config.max_positions)
-    results = []
-    for row in range(source.f_s.shape[0]):
-        n_words = int((~source.f_w_pad[row]).sum())
-        n_subs = int((~source.f_s_pad[row]).sum())
-        if n_subs == 0 or n_words == 0:
-            raise ContractError(f"source sentence {row} is empty")
-        single = SourceBatch(source.f_w[row:row + 1, :n_words],
-                             source.f_w_pad[row:row + 1, :n_words],
-                             source.f_s[row:row + 1, :n_subs],
-                             source.f_s_pad[row:row + 1, :n_subs])
-        stepper = IncrementalDecoder(checkpoint, single)
-        best = beam_search(stepper, beam=beam, max_len=max_len,
-                           length_alpha=length_alpha)
-        tokens = list(best.tokens)
-        if tokens and tokens[-1] == EOS_ID:
-            tokens = tokens[:-1]
-        results.append(tokens)
-    return results
+    """The best hypothesis of each sentence (``translate_batch_nbest``)
+    as BPE ids without BOS/EOS."""
+    return [pool[0].output_ids() for pool in
+            translate_batch_nbest(checkpoint, source, beam, max_len, length_alpha)]
 
 
 def greedy_decode(checkpoint: Checkpoint, source: SourceBatch,

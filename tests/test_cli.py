@@ -7,7 +7,7 @@ import numpy as np
 
 from transference.cli import main
 from transference.corpus import read_lines, write_lines
-from transference.model import Checkpoint, ModelConfig, init_params
+from transference.model import Checkpoint, ModelConfig, Vocab, init_params
 from transference.ngram import NGramLM
 
 from conftest import write_pipeline_ini
@@ -238,3 +238,33 @@ class TestPipelineAndTranslateCommands:
                        "--bpe-vocab", os.path.join(work, "bpe", "bpe.vocab"),
                        "--output", str(hyp), "--beam", "2", "--max-len", "12") == 0
         assert len(read_lines(str(hyp))) == 1
+
+
+class TestTranslateNbest:
+    def test_nbest_ranks_hypotheses_of_a_short_position_limit(self, tmp_path,
+                                                              capsys):
+        # max_positions 6 is below the default --max-len of 256
+        bpe = Vocab(["a</w>", "b</w>", "c", "d</w>", "e</w>", "f", "g</w>",
+                     "h</w>", "i</w>", "j</w>"])
+        words = Vocab(["a", "b", "cd", "e", "fg", "h"])
+        cfg = ModelConfig(bpe_vocab_size=len(bpe), word_vocab_size=len(words),
+                          n_layers_fw=1, n_layers_fs=1, n_layers_es=1,
+                          n_layers_dec=1, d_model=8, d_ff=16, heads=2,
+                          dropout=0.0, max_positions=6)
+        ckpt_path = str(tmp_path / "m.tfrx")
+        init_params(cfg, seed=3).save(ckpt_path)
+        bpe.save(str(tmp_path / "bpe.vocab"))
+        words.save(str(tmp_path / "word.vocab"))
+        write_lines(str(tmp_path / "in.bpe"), ["a</w> c d</w>", "f g</w> e</w> h</w>"])
+        common = ["translate", "--checkpoint", ckpt_path,
+                  "--input", str(tmp_path / "in.bpe"),
+                  "--word-vocab", str(tmp_path / "word.vocab"),
+                  "--bpe-vocab", str(tmp_path / "bpe.vocab"), "--beam", "3"]
+        assert run_cli(*common, "--output", str(tmp_path / "best.txt")) == 0
+        assert run_cli(*common, "--nbest", "3") == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 1, 2, 3]
+        for first in (0, 3):
+            scores = [float(r[1]) for r in rows[first:first + 3]]
+            assert scores == sorted(scores, reverse=True)
+        assert [rows[0][2], rows[3][2]] == read_lines(str(tmp_path / "best.txt"))

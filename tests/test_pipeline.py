@@ -1,6 +1,7 @@
 """End-to-end pipeline: smoke run, manifest-based resumption, input
 tampering, and failure surfacing."""
 
+import dataclasses
 import json
 import os
 
@@ -10,7 +11,7 @@ from transference.errors import ConfigError, StageError
 from transference.pipeline import load_pipeline_config, run_pipeline
 from transference.corpus import read_lines
 
-from conftest import write_pipeline_ini
+from conftest import write_pipeline_ini, write_world
 
 
 def small_overrides(**extra):
@@ -95,6 +96,24 @@ class TestRunPipeline:
         with pytest.raises(StageError, match="select") as err:
             run_pipeline(cfg)
         assert isinstance(err.value.cause, ConfigError)
+
+    @pytest.mark.parametrize("line, cause", [
+        ("", "source sentence 5 is empty"),
+        (" ".join(["sa"] * 40) + " .", "the model takes at most 33"),
+    ], ids=["empty", "too_long"])
+    def test_undecodable_source_fails_before_training(self, toy_world,
+                                                      tmp_path, line, cause):
+        dev_src = list(toy_world.dev_src)
+        dev_src[5] = line
+        files = write_world(dataclasses.replace(toy_world, dev_src=dev_src),
+                            tmp_path)
+        ini = write_pipeline_ini(tmp_path / "p.ini", files,
+                                 str(tmp_path / "work"),
+                                 overrides=small_overrides())
+        with pytest.raises(StageError, match=cause) as info:
+            run_pipeline(load_pipeline_config(ini))
+        assert info.value.stage == "translate"
+        assert not (tmp_path / "work" / "ckpt" / "averaged.tfrx").exists()
 
     def test_missing_input_rejected_before_any_stage(self, toy_files, tmp_path):
         toy_files = dict(toy_files, general_source=str(tmp_path / "missing.src"))

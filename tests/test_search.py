@@ -1,15 +1,19 @@
-"""Beam search against stub distributions, exhaustive enumeration, and
-the incremental decoder against full re-forwarding."""
+"""Beam search against stub distributions, exhaustive enumeration, the
+incremental decoder against full re-forwarding, and the batched lockstep
+search against per-sentence search."""
 
 import numpy as np
 import pytest
 
 from transference.errors import ContractError
-from transference.model import (BOS_ID, EOS_ID, ModelConfig, decode_forward,
-                                encode, init_params, make_source_batch)
+from transference.model import (BOS_ID, EOS_ID, PAD_ID, DecoderCache,
+                                EncodedSource, ModelConfig, SourceBatch,
+                                decode_forward, encode, init_params,
+                                make_source_batch)
 from transference.search import (IncrementalDecoder, beam_search,
                                  beam_search_nbest, greedy_decode,
-                                 translate_batch)
+                                 translate_batch, translate_batch_nbest)
+from transference.tensor import Tensor
 
 from oracles import enumerate_best_sequences
 
@@ -225,3 +229,104 @@ class TestTranslateBatch:
         batch = make_source_batch([[4, 5]], [[4, 5, 6]])
         ids = translate_batch(ckpt, batch, beam=2, max_len=500)
         assert all(len(row) <= 6 for row in ids)
+
+
+def sentence(batch, row):
+    """Row ``row`` of a padded batch as a batch of one, pads cut off."""
+    n_w = int((~batch.f_w_pad[row]).sum())
+    n_s = int((~batch.f_s_pad[row]).sum())
+    return SourceBatch(batch.f_w[row:row + 1, :n_w], batch.f_w_pad[row:row + 1, :n_w],
+                       batch.f_s[row:row + 1, :n_s], batch.f_s_pad[row:row + 1, :n_s])
+
+
+def sharp_checkpoint():
+    """Sharpened output layer, and <pad>/<s> never predicted, as after
+    training.  With an EOS bias of 2, the sentences of ``MIXED`` end both
+    by EOS at different lengths and at max_len 7."""
+    ckpt = init_params(search_config(), seed=8)
+    ckpt.params["output/weight"].data[:] *= 3.0
+    bias = ckpt.params["output/bias"].data
+    bias[[PAD_ID, BOS_ID]] = -1e4
+    bias[EOS_ID] = 2.0
+    return ckpt
+
+
+MIXED = make_source_batch([[4, 5, 6], [7], [8, 9, 10, 11, 4], [5, 6], [9, 9]],
+                          [[4, 5, 6, 7], [7], [8, 9, 10, 11, 12, 13], [5, 6, 4],
+                           [10, 11]])
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("beam", [1, 2, 4])
+    def test_matches_per_sentence_search(self, beam):
+        ckpt = sharp_checkpoint()
+        max_len = 7
+        pools = translate_batch_nbest(ckpt, MIXED, beam=beam, max_len=max_len)
+        lengths = set()
+        for row, pool in enumerate(pools):
+            want = beam_search_nbest(IncrementalDecoder(ckpt, sentence(MIXED, row)),
+                                     beam=beam, max_len=max_len)
+            assert [h.tokens for h in pool] == [h.tokens for h in want]
+            np.testing.assert_allclose([h.logprob for h in pool],
+                                       [h.logprob for h in want], atol=1e-5)
+            lengths.add(len(pool[0].output_ids()))
+        # both endings occur: EOS before max_len, and max_len itself
+        assert max_len in lengths and len(lengths) > 1
+
+    def test_output_does_not_depend_on_batch_mates(self):
+        ckpt = sharp_checkpoint()
+        together = translate_batch(ckpt, MIXED, beam=3, max_len=7)
+        for row in range(MIXED.f_s.shape[0]):
+            alone = translate_batch(ckpt, sentence(MIXED, row), beam=3, max_len=7)
+            assert alone == [together[row]]
+        rows = [4, 2, 0]
+        regrouped = make_source_batch(
+            [MIXED.f_w[r][~MIXED.f_w_pad[r]].tolist() for r in rows],
+            [MIXED.f_s[r][~MIXED.f_s_pad[r]].tolist() for r in rows])
+        assert translate_batch(ckpt, regrouped, beam=3, max_len=7) == [
+            together[r] for r in rows]
+
+    def test_reordered_cache_matches_full_reforward(self):
+        cfg = search_config()
+        ckpt = init_params(cfg, seed=9)
+        batch = make_source_batch([[4, 5, 6], [7, 8]], [[4, 5, 6, 7], [8, 9]])
+        encoded = encode(cfg, ckpt.params, batch)
+        owner = np.array([0, 0, 1, 1])     # two cache rows per sentence
+        take = lambda t: Tensor(t.data[owner])
+        per_row = EncodedSource(take(encoded.enc1_out), take(encoded.enc2_out),
+                                take(encoded.enc12_out), encoded.f_w_pad[owner],
+                                encoded.f_s_pad[owner])
+        cache = DecoderCache(cfg, rows=4, capacity=6)
+        prefix = np.full((4, 1), BOS_ID)
+        logits = decode_forward(cfg, ckpt.params, encoded, prefix, cache=cache)
+        for tokens, parents in (([5, 6, 7, 8], [1, 0, 3, 3]),
+                                ([9, 4, 5, 6], [0, 0, 2, 3]),
+                                ([10, 11, 12, 13], [1, 1, 3, 2])):
+            full = decode_forward(cfg, ckpt.params, per_row, prefix).data[:, -1]
+            np.testing.assert_allclose(logits.data[:, -1], full, atol=1e-5)
+            cache.reorder(np.array(parents))
+            prefix = np.concatenate([prefix[parents], np.array(tokens)[:, None]], axis=1)
+            logits = decode_forward(cfg, ckpt.params, encoded,
+                                    np.array(tokens)[:, None], cache=cache)
+        full = decode_forward(cfg, ckpt.params, per_row, prefix).data[:, -1]
+        np.testing.assert_allclose(logits.data[:, -1], full, atol=1e-5)
+
+    def test_pad_and_bos_never_output(self):
+        ckpt = init_params(search_config(), seed=10)
+        ckpt.params["output/bias"].data[[PAD_ID, BOS_ID]] = 5.0
+        batch = make_source_batch([[4, 5, 6], [7, 8]], [[4, 5, 6], [7, 8]])
+        for ids in translate_batch(ckpt, batch, beam=3, max_len=6):
+            assert ids and PAD_ID not in ids and BOS_ID not in ids
+        for pool in translate_batch_nbest(ckpt, batch, beam=3, max_len=6):
+            assert all(PAD_ID not in h.tokens and BOS_ID not in h.tokens
+                       for h in pool)
+
+    @pytest.mark.parametrize("words, subs, cause", [
+        ([[4], []], [[4], []], "source sentence 1 is empty"),
+        ([[4], [5, 6], [4, 5, 6, 7, 8, 9]], [[4], [5, 6], [4, 5, 6, 7, 8, 9]],
+         "source sentence 2 has 6 subwords"),
+    ])
+    def test_bad_sentence_named_before_decoding(self, words, subs, cause):
+        ckpt = init_params(search_config(max_positions=4), seed=11)
+        with pytest.raises(ContractError, match=cause):
+            translate_batch(ckpt, make_source_batch(words, subs))
