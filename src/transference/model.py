@@ -155,11 +155,18 @@ class Checkpoint:
                 sidecar = json.load(fh)
         except FileNotFoundError as exc:
             raise CheckpointError(f"missing config sidecar for {path}") from exc
-        config = ModelConfig.from_dict(sidecar["config"])
+        except ValueError as exc:
+            raise CheckpointError(f"{base}.json is not JSON: {exc}") from exc
+        try:
+            config = ModelConfig.from_dict(sidecar["config"])
+            step = int(sidecar["step"])
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise CheckpointError(
+                f"{base}.json: malformed sidecar: {exc!r}") from exc
         arrays = load_tensors(path)
         params = {name: Tensor(arr, requires_grad=True)
                   for name, arr in arrays.items()}
-        return cls(params, config, int(sidecar["step"]))
+        return cls(params, config, step)
 
 
 def positional_encoding(length: int, d_model: int,

@@ -5,7 +5,12 @@ translate -> postprocess -> evaluate.
 Every stage writes its artifacts plus a manifest of content hashes;
 stages whose inputs, parameters, and outputs all match their manifest
 are skipped on rerun.  A changed input re-runs the stage and, because
-its outputs feed later manifests, everything downstream."""
+its outputs feed later manifests, everything downstream.
+
+The stage functions here (``lm_train``, ``score_corpus``,
+``select_split``, ``prepare_pairs``, ``source_batch``, ``train_model``)
+take paths in and write paths out; the CLI subcommands call the same
+functions, and read the same config table."""
 
 from __future__ import annotations
 
@@ -15,28 +20,31 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import corpus as C
 from . import ngram as N
 from .bpe import apply_bpe, decode_bpe, learn_bpe
-from .errors import ConfigError, ContractError, StageError
+from .errors import (AlignmentError, ConfigError, ContractError, DataError,
+                     StageError)
 from .metrics import EvalReport, evaluate_corpus
 from .model import (Checkpoint, ModelConfig, SourceBatch, Vocab, check_source,
                     init_params, make_source_batch)
 from .search import translate_batch
-from .training import PreparedPair, TrainConfig, train
+from .training import PreparedPair, TrainConfig, TrainResult, train
 
 ENV_WORKDIR = "TRANSFERENCE_WORKDIR"
+DATA_KEYS = ("general_source", "general_target",
+             "indomain_source", "indomain_target")
 
 
 @dataclass
 class PipelineConfig:
-    general_source: str
-    general_target: str
-    indomain_source: str
-    indomain_target: str
-    workdir: str
+    general_source: str = ""
+    general_target: str = ""
+    indomain_source: str = ""
+    indomain_target: str = ""
+    workdir: str = "work"
     seed: int = 1
     min_tokens: int = 1
     max_tokens: int = 100
@@ -46,7 +54,9 @@ class PipelineConfig:
     n_select: int = 500000
     bpe_vocab: int = 28000
     word_vocab: int = 50000
-    model: ModelConfig | None = None
+    # vocabulary sizes are filled in after BPE learning
+    model: ModelConfig = field(default_factory=lambda: ModelConfig(
+        bpe_vocab_size=1, word_vocab_size=1))
     train_generic: TrainConfig = field(default_factory=TrainConfig)
     train_finetune: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=10))
     beam: int = 4
@@ -54,103 +64,236 @@ class PipelineConfig:
     length_alpha: float = 1.0
 
     def validate(self) -> None:
-        for name in ("general_source", "general_target",
-                     "indomain_source", "indomain_target"):
+        for name in DATA_KEYS:
             path = getattr(self, name)
+            if not path:
+                raise ConfigError(f"config missing required [data] entry: '{name}'")
             if not os.path.exists(path):
                 raise ConfigError(f"{name} file not found: {path}")
         if self.n_validation < 1:
             raise ConfigError("n_validation must be >= 1")
 
 
-def _get(parser: configparser.ConfigParser, section: str, option: str,
-         conv, default):
-    if parser.has_option(section, option):
-        return conv(parser.get(section, option))
-    return default
+def _grad_clip(text: str) -> float | None:
+    return None if text in ("none", "off") else float(text)
 
 
-def load_pipeline_config(path: str, workdir_override: str | None = None,
-                         seed_override: int | None = None) -> PipelineConfig:
-    """Parse the INI-style config (sections per stage, key = value)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+_TRAIN_KEYS = {"epochs": int, "batch_tokens": int, "max_len": int,
+               "warmup_steps": int, "beta1": float, "beta2": float,
+               "adam_epsilon": float, "label_smoothing": float,
+               "checkpoint_keep": int, "grad_clip": _grad_clip}
+
+# Every key a config file may set, as section -> key -> type.  The
+# defaults live in the dataclasses the keys fill: [model] fills
+# ModelConfig (``layers`` sets all four stacks), [train] and [finetune]
+# fill TrainConfig, every other key a PipelineConfig field.
+CONFIG_KEYS = {
+    "data": dict.fromkeys(DATA_KEYS + ("workdir",), str),
+    "pipeline": {"seed": int},
+    "clean": {"min_tokens": int, "max_tokens": int, "max_ratio": float},
+    "lm": {"order": int},
+    "select": {"n_validation": int, "n_select": int},
+    "bpe": {"vocab_size": int},
+    "model": {"d_model": int, "d_ff": int, "heads": int, "layers": int,
+              "dropout": float, "max_positions": int, "word_vocab_size": int},
+    "train": _TRAIN_KEYS,
+    "finetune": _TRAIN_KEYS,
+    "decode": {"beam": int, "max_len": int, "length_alpha": float},
+}
+# keys that fill a PipelineConfig field of another name
+_FIELDS = {("lm", "order"): "lm_order", ("bpe", "vocab_size"): "bpe_vocab",
+           ("model", "word_vocab_size"): "word_vocab",
+           ("decode", "max_len"): "decode_max_len"}
+
+
+def _read_config(path: str) -> dict[tuple[str, str], object]:
+    """The typed value of every key the file sets, by (section, key).
+    Sections outside the table are ignored; in a section of the table,
+    an unknown key or a value its type rejects is a ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        data = parser["data"]
-        cfg = PipelineConfig(
-            general_source=data["general_source"],
-            general_target=data["general_target"],
-            indomain_source=data["indomain_source"],
-            indomain_target=data["indomain_target"],
-            workdir=data.get("workdir", "work"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config missing required [data] entry: {exc}") from exc
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    values = {}
+    for section in filter(CONFIG_KEYS.__contains__, parser.sections()):
+        for key, text in parser.items(section):
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            try:
+                values[section, key] = CONFIG_KEYS[section][key](text)
+            except ValueError:
+                raise ConfigError(
+                    f"[{section}] {key}: bad value {text!r}") from None
+    return values
 
-    cfg.seed = _get(parser, "pipeline", "seed", int, cfg.seed)
-    cfg.min_tokens = _get(parser, "clean", "min_tokens", int, cfg.min_tokens)
-    cfg.max_tokens = _get(parser, "clean", "max_tokens", int, cfg.max_tokens)
-    cfg.max_ratio = _get(parser, "clean", "max_ratio", float, cfg.max_ratio)
-    cfg.lm_order = _get(parser, "lm", "order", int, cfg.lm_order)
-    cfg.n_validation = _get(parser, "select", "n_validation", int, cfg.n_validation)
-    cfg.n_select = _get(parser, "select", "n_select", int, cfg.n_select)
-    cfg.bpe_vocab = _get(parser, "bpe", "vocab_size", int, cfg.bpe_vocab)
-    cfg.word_vocab = _get(parser, "model", "word_vocab_size", int, cfg.word_vocab)
 
-    layers = _get(parser, "model", "layers", int, 6)
-    model_kwargs = dict(
-        bpe_vocab_size=0, word_vocab_size=0,
-        n_layers_fw=layers, n_layers_fs=layers,
-        n_layers_es=layers, n_layers_dec=layers,
-        d_model=_get(parser, "model", "d_model", int, 512),
-        d_ff=_get(parser, "model", "d_ff", int, 2048),
-        heads=_get(parser, "model", "heads", int, 8),
-        dropout=_get(parser, "model", "dropout", float, 0.1),
-        max_positions=_get(parser, "model", "max_positions", int, 256),
-    )
-    # Vocabulary sizes are filled in after BPE learning; keep the rest.
-    cfg.model = ModelConfig(**{**model_kwargs,
-                               "bpe_vocab_size": 1, "word_vocab_size": 1})
+def _replace(section: str, obj, **changes):
+    """``obj`` with ``changes``, its validation errors named by section."""
+    try:
+        return replace(obj, **changes)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
-    def train_cfg(section: str, default_epochs: int) -> TrainConfig:
-        base = "train"
-        def opt(name, conv, dflt):
-            if parser.has_option(section, name):
-                return conv(parser.get(section, name))
-            return _get(parser, base, name, conv, dflt)
-        clip = opt("grad_clip", str, "5.0")
-        return TrainConfig(
-            epochs=_get(parser, section, "epochs", int, default_epochs),
-            batch_tokens=opt("batch_tokens", int, 25000),
-            max_len=opt("max_len", int, 256),
-            warmup_steps=opt("warmup_steps", int, 8000),
-            beta1=opt("beta1", float, 0.9),
-            beta2=opt("beta2", float, 0.98),
-            adam_epsilon=opt("adam_epsilon", float, 1e-9),
-            label_smoothing=opt("label_smoothing", float, 0.1),
-            checkpoint_keep=opt("checkpoint_keep", int, 8),
-            grad_clip=None if clip in ("none", "off") else float(clip),
-            seed=cfg.seed,
-        )
 
-    cfg.train_generic = train_cfg("train", 30)
-    cfg.train_finetune = train_cfg("finetune", 10)
-    cfg.beam = _get(parser, "decode", "beam", int, 4)
-    cfg.decode_max_len = _get(parser, "decode", "max_len", int, 256)
-    cfg.length_alpha = _get(parser, "decode", "length_alpha", float, 1.0)
+def load_pipeline_config(path: str | None,
+                         workdir_override: str | None = None,
+                         seed_override: int | None = None) -> PipelineConfig:
+    """Parse the INI-style config (sections per stage, key = value);
+    ``None`` reads no file and gives the defaults.  [finetune] inherits
+    every key it leaves unset from [train] except ``epochs``; both phases
+    take the [pipeline] seed.  [data] is checked when the pipeline runs,
+    so the training commands can read a config without it."""
+    values = _read_config(path) if path is not None else {}
 
-    env_workdir = os.environ.get(ENV_WORKDIR)
-    if workdir_override:
-        cfg.workdir = workdir_override
-    elif env_workdir:
-        cfg.workdir = env_workdir
+    def section(name: str) -> dict:
+        return {key: v for (s, key), v in values.items() if s == name}
+
+    # [model], [train] and [finetune] fill the nested dataclasses below
+    cfg = PipelineConfig(**{
+        _FIELDS.get((s, key), key): v for (s, key), v in values.items()
+        if s not in ("model", "train", "finetune") or (s, key) in _FIELDS})
     if seed_override is not None:
         cfg.seed = seed_override
-        cfg.train_generic.seed = seed_override
-        cfg.train_finetune.seed = seed_override
+    model = section("model")
+    model.pop("word_vocab_size", None)
+    if "layers" in model:
+        model.update(dict.fromkeys(("n_layers_fw", "n_layers_fs", "n_layers_es",
+                                    "n_layers_dec"), model.pop("layers")))
+    cfg.model = _replace("model", cfg.model, **model)
+    generic = section("train")
+    cfg.train_generic = _replace("train", cfg.train_generic, seed=cfg.seed,
+                                 **generic)
+    generic.pop("epochs", None)
+    cfg.train_finetune = _replace("finetune", cfg.train_finetune, seed=cfg.seed,
+                                  **{**generic, **section("finetune")})
+
+    cfg.workdir = workdir_override or os.environ.get(ENV_WORKDIR) or cfg.workdir
     return cfg
+
+
+def read_tokens(path: str) -> list[list[str]]:
+    """One whitespace-split token list per line of a tokenized file."""
+    return [line.split() for line in C.read_lines(path)]
+
+
+def write_pairs(pairs, src_path: str, trg_path: str) -> None:
+    C.write_lines(src_path, [" ".join(p.source) for p in pairs])
+    C.write_lines(trg_path, [" ".join(p.target) for p in pairs])
+
+
+def _read_pairs(src_path: str, trg_path: str) -> list[C.SentencePair]:
+    src, trg = read_tokens(src_path), read_tokens(trg_path)
+    if len(src) != len(trg):
+        raise AlignmentError(f"line counts differ: {src_path} has {len(src)}, "
+                             f"{trg_path} has {len(trg)}")
+    return [C.SentencePair(tuple(s), tuple(t), i)
+            for i, (s, t) in enumerate(zip(src, trg))]
+
+
+def lm_train(corpus_path: str, model_path: str, order: int) -> None:
+    lm = N.train_lm(read_tokens(corpus_path), order=order)
+    with open(model_path, "w", encoding="utf-8") as fh:
+        fh.write(lm.to_json())
+
+
+def score_corpus(src_path: str, trg_path: str, lm_paths: tuple[str, ...],
+                 scores_path: str) -> None:
+    """Bilingual cross-entropy difference of every pair; ``lm_paths`` are
+    the in-domain and out-of-domain source models, then the target ones."""
+    lms = []
+    for path in lm_paths:
+        with open(path, encoding="utf-8") as fh:
+            lms.append(N.NGramLM.from_json(fh.read()))
+    N.write_scores_tsv(scores_path, [N.score_pair(pair, *lms) for pair
+                                     in _read_pairs(src_path, trg_path)])
+
+
+def _read_scores(path: str, pairs: list[C.SentencePair]) -> list[N.ScoredPair]:
+    scored = []
+    for number, line in enumerate(C.read_lines(path), 1):
+        row = line.split("\t")
+        try:
+            if len(row) != 6:
+                raise ValueError(f"{len(row)} columns, expected 6")
+            index = int(row[0])
+            if not 0 <= index < len(pairs):
+                raise ValueError(f"pair index {index} outside a corpus of "
+                                 f"{len(pairs)} pairs")
+            score, h_src_in, h_src_out, h_trg_in, h_trg_out = map(float, row[1:])
+        except ValueError as exc:
+            raise DataError(f"{path} line {number}: {exc}") from None
+        scored.append(N.ScoredPair(pairs[index], h_src_in, h_src_out,
+                                   h_trg_in, h_trg_out, score))
+    return scored
+
+
+def select_split(scores_path: str, src_path: str, trg_path: str,
+                 n_validation: int, n_select: int,
+                 out: dict[str, tuple[str, str]]) -> None:
+    """Rank the pairs by score, best first, and write the
+    ``validation``, ``selected`` and ``sorted_all`` splits to the
+    (source, target) paths ``out`` gives for each."""
+    scored = _read_scores(scores_path, _read_pairs(src_path, trg_path))
+    splits = N.rank_and_split(scored, n_validation, n_select)
+    for name, subset in zip(("validation", "selected", "sorted_all"), splits):
+        write_pairs([s.pair for s in subset], *out[name])
+
+
+def prepare_pairs(word_vocab: Vocab, bpe_vocab: Vocab, words_path: str,
+                  src_bpe_path: str, trg_bpe_path: str) -> list[PreparedPair]:
+    words, subs, tgts = (read_tokens(p) for p in
+                         (words_path, src_bpe_path, trg_bpe_path))
+    if not len(words) == len(subs) == len(tgts):
+        raise AlignmentError(
+            f"training files disagree on line counts: {words_path} has "
+            f"{len(words)}, {src_bpe_path} {len(subs)}, {trg_bpe_path} {len(tgts)}")
+    return [PreparedPair(tuple(word_vocab.encode(w)),
+                         tuple(bpe_vocab.encode(s)),
+                         tuple(bpe_vocab.encode(t)))
+            for w, s, t in zip(words, subs, tgts)]
+
+
+def source_batch(word_vocab: Vocab, bpe_vocab: Vocab, words: list[list[str]],
+                 subs: list[list[str]]) -> SourceBatch:
+    """The two encoders' input: each sentence as words and as subwords."""
+    if len(words) != len(subs):
+        raise AlignmentError(f"{len(words)} word rows but {len(subs)} subword rows")
+    return make_source_batch([word_vocab.encode(w) for w in words],
+                             [bpe_vocab.encode(s) for s in subs])
+
+
+def train_model(cfg: PipelineConfig, word_vocab_path: str, bpe_vocab_path: str,
+                generic: tuple[str, str, str] | None,
+                finetune: tuple[str, str, str] | None,
+                validation: tuple[str, str, str], ckpt_dir: str,
+                log_path: str | None = None, init: str | None = None,
+                verbose: bool = False) -> TrainResult:
+    """The generic phase, then fine-tuning, from the ``init`` checkpoint
+    or from ``cfg.model`` initialized with ``cfg.seed``.  Each phase's
+    data is a (source words, source BPE, target BPE) triple of paths; a
+    phase given None runs no epochs."""
+    word_vocab = Vocab.load(word_vocab_path)
+    bpe_vocab = Vocab.load(bpe_vocab_path)
+    if init:
+        checkpoint = Checkpoint.load(init)
+    else:
+        checkpoint = init_params(replace(
+            cfg.model, bpe_vocab_size=len(bpe_vocab),
+            word_vocab_size=len(word_vocab)), cfg.seed)
+
+    def phase(files, train_cfg: TrainConfig):
+        if files is None:
+            return [], replace(train_cfg, epochs=0)
+        return prepare_pairs(word_vocab, bpe_vocab, *files), train_cfg
+
+    generic_pairs, generic_cfg = phase(generic, cfg.train_generic)
+    finetune_pairs, finetune_cfg = phase(finetune, cfg.train_finetune)
+    return train(generic_pairs, finetune_pairs,
+                 prepare_pairs(word_vocab, bpe_vocab, *validation), checkpoint,
+                 generic_cfg, finetune_cfg, ckpt_dir, log_path=log_path,
+                 verbose=verbose)
 
 
 def _sha256(path: str) -> str:
@@ -165,12 +308,9 @@ class _Stages:
     """Runs stages with manifest-based skipping."""
 
     def __init__(self, workdir: str, verbose: bool = False):
-        self.workdir = workdir
         self.manifest_dir = os.path.join(workdir, "manifests")
         os.makedirs(self.manifest_dir, exist_ok=True)
         self.verbose = verbose
-        self.executed: list[str] = []
-        self.skipped: list[str] = []
 
     def run(self, name: str, inputs: list[str], params: dict,
             outputs: list[str], fn) -> None:
@@ -186,7 +326,6 @@ class _Stages:
             if (have.get("inputs") == want["inputs"]
                     and have.get("params") == params_blob
                     and have.get("outputs") == {p: _sha256(p) for p in sorted(outputs)}):
-                self.skipped.append(name)
                 if self.verbose:
                     print(f"[pipeline] {name}: up to date, skipped")
                 return
@@ -199,16 +338,6 @@ class _Stages:
         want["outputs"] = {p: _sha256(p) for p in sorted(outputs)}
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(want, fh, indent=2, sort_keys=True)
-        self.executed.append(name)
-
-
-def _write_pairs(pairs, src_path: str, trg_path: str) -> None:
-    C.write_lines(src_path, [" ".join(p.source) for p in pairs])
-    C.write_lines(trg_path, [" ".join(p.target) for p in pairs])
-
-
-def _read_token_lines(path: str) -> list[list[str]]:
-    return [line.split() if line else [] for line in C.read_lines(path)]
 
 
 def run_pipeline(cfg: PipelineConfig, verbose: bool = False
@@ -216,20 +345,15 @@ def run_pipeline(cfg: PipelineConfig, verbose: bool = False
     """Execute (or resume) every stage; returns the work directory and the
     final BLEU/TER report on the in-domain corpus."""
     cfg.validate()
-    work = cfg.workdir
-    os.makedirs(work, exist_ok=True)
-    lock_path = os.path.join(work, ".lock")
-    lock_file = open(lock_path, "w")
-    try:
-        fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError as exc:
-        lock_file.close()
-        raise ConfigError(f"work directory {work} is locked by another pipeline") from exc
-    try:
+    os.makedirs(cfg.workdir, exist_ok=True)
+    # closing the lock file releases the lock
+    with open(os.path.join(cfg.workdir, ".lock"), "w") as lock_file:
+        try:
+            fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            raise ConfigError(f"work directory {cfg.workdir} is locked "
+                              "by another pipeline") from exc
         return _run_pipeline_locked(cfg, verbose)
-    finally:
-        fcntl.flock(lock_file, fcntl.LOCK_UN)
-        lock_file.close()
 
 
 def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
@@ -251,12 +375,6 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         "lm_o_src": os.path.join(work, "lm", "out_domain.src.json"),
         "lm_o_trg": os.path.join(work, "lm", "out_domain.trg.json"),
         "scores": os.path.join(work, "select", "scores.tsv"),
-        "val_src": os.path.join(work, "select", "validation.src"),
-        "val_trg": os.path.join(work, "select", "validation.trg"),
-        "sel_src": os.path.join(work, "select", "selected.src"),
-        "sel_trg": os.path.join(work, "select", "selected.trg"),
-        "all_src": os.path.join(work, "select", "sorted_all.src"),
-        "all_trg": os.path.join(work, "select", "sorted_all.trg"),
         "merges": os.path.join(work, "bpe", "merges.txt"),
         "bpe_vocab": os.path.join(work, "bpe", "bpe.vocab"),
         "word_vocab": os.path.join(work, "bpe", "word.vocab"),
@@ -267,6 +385,10 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         "hyp_txt": os.path.join(work, "out", "hypotheses.txt"),
         "report": os.path.join(work, "out", "report.json"),
     }
+    # (source, target) token files of each split the bpe stage segments
+    splits = {name: tuple(os.path.join(work, "select", f"{name}.{side}")
+                          for side in ("src", "trg"))
+              for name in ("validation", "selected", "sorted_all")}
     bpe_paths = {}
     for split in ("sorted_all", "selected", "validation", "indomain"):
         for side in ("src", "trg"):
@@ -278,10 +400,10 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
             C.load_parallel(cfg.general_source, cfg.general_target))
         kept, dropped = C.clean_corpus(general, cfg.min_tokens,
                                        cfg.max_tokens, cfg.max_ratio)
-        _write_pairs(kept, paths["gen_src"], paths["gen_trg"])
+        write_pairs(kept, paths["gen_src"], paths["gen_trg"])
         dev = C.preprocess_parallel(
             C.load_parallel(cfg.indomain_source, cfg.indomain_target))
-        _write_pairs(dev, paths["dev_src"], paths["dev_trg"])
+        write_pairs(dev, paths["dev_src"], paths["dev_trg"])
         with open(paths["clean_report"], "w", encoding="utf-8") as fh:
             json.dump({"kept": len(kept), "dropped": dropped}, fh, sort_keys=True)
 
@@ -296,19 +418,12 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
 
     # -- truecase: train per-language on the cleaned general corpus ----
     def stage_truecase():
-        gen_src = _read_token_lines(paths["gen_src"])
-        gen_trg = _read_token_lines(paths["gen_trg"])
-        model_src = C.truecase_train(gen_src)
-        model_trg = C.truecase_train(gen_trg)
-        model_src.save(paths["tc_src"])
-        model_trg.save(paths["tc_trg"])
-        for path, model in ((paths["gen_src"], model_src),
-                            (paths["gen_trg"], model_trg),
-                            (paths["dev_src"], model_src),
-                            (paths["dev_trg"], model_trg)):
-            lines = [" ".join(C.truecase_apply(model, toks))
-                     for toks in _read_token_lines(path)]
-            C.write_lines(path + ".tc", lines)
+        for side in ("src", "trg"):
+            model = C.truecase_train(read_tokens(paths[f"gen_{side}"]))
+            model.save(paths[f"tc_{side}"])
+            for path in (paths[f"gen_{side}"], paths[f"dev_{side}"]):
+                C.write_lines(path + ".tc", [" ".join(C.truecase_apply(model, toks))
+                                             for toks in read_tokens(path)])
 
     truecase_outputs = [paths["tc_src"], paths["tc_trg"]] + [
         p + ".tc" for p in (paths["gen_src"], paths["gen_trg"],
@@ -319,85 +434,52 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
                {}, truecase_outputs, stage_truecase)
 
     # -- lm_train: in-domain and out-domain models per language --------
-    def stage_lm():
-        for out_path, corpus_path in ((paths["lm_i_src"], paths["dev_src"] + ".tc"),
-                                      (paths["lm_i_trg"], paths["dev_trg"] + ".tc"),
-                                      (paths["lm_o_src"], paths["gen_src"] + ".tc"),
-                                      (paths["lm_o_trg"], paths["gen_trg"] + ".tc")):
-            lm = N.train_lm(_read_token_lines(corpus_path), order=cfg.lm_order)
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(lm.to_json())
+    lm_corpora = {"lm_i_src": paths["dev_src"] + ".tc",
+                  "lm_i_trg": paths["dev_trg"] + ".tc",
+                  "lm_o_src": paths["gen_src"] + ".tc",
+                  "lm_o_trg": paths["gen_trg"] + ".tc"}
 
-    stages.run("lm_train",
-               [paths["dev_src"] + ".tc", paths["dev_trg"] + ".tc",
-                paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc"],
-               {"order": cfg.lm_order},
-               [paths["lm_i_src"], paths["lm_i_trg"],
-                paths["lm_o_src"], paths["lm_o_trg"]],
-               stage_lm)
+    def stage_lm():
+        for key, corpus_path in lm_corpora.items():
+            lm_train(corpus_path, paths[key], cfg.lm_order)
+
+    stages.run("lm_train", list(lm_corpora.values()), {"order": cfg.lm_order},
+               [paths[key] for key in lm_corpora], stage_lm)
 
     # -- score: bilingual cross-entropy difference per pair ------------
-    def stage_score():
-        lms = {}
-        for key in ("lm_i_src", "lm_i_trg", "lm_o_src", "lm_o_trg"):
-            with open(paths[key], encoding="utf-8") as fh:
-                lms[key] = N.NGramLM.from_json(fh.read())
-        src = _read_token_lines(paths["gen_src"] + ".tc")
-        trg = _read_token_lines(paths["gen_trg"] + ".tc")
-        scored = []
-        for i, (s, t) in enumerate(zip(src, trg)):
-            pair = C.SentencePair(tuple(s), tuple(t), i)
-            scored.append(N.score_pair(pair, lms["lm_i_src"], lms["lm_o_src"],
-                                       lms["lm_i_trg"], lms["lm_o_trg"]))
-        N.write_scores_tsv(paths["scores"], scored)
-
+    lm_paths = tuple(paths[key] for key in
+                     ("lm_i_src", "lm_o_src", "lm_i_trg", "lm_o_trg"))
     stages.run("score",
                [paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc",
-                paths["lm_i_src"], paths["lm_i_trg"],
-                paths["lm_o_src"], paths["lm_o_trg"]],
-               {}, [paths["scores"]], stage_score)
+                *lm_paths], {}, [paths["scores"]],
+               lambda: score_corpus(paths["gen_src"] + ".tc",
+                                    paths["gen_trg"] + ".tc", lm_paths,
+                                    paths["scores"]))
 
     # -- select: rank ascending, split validation / selected / all -----
-    def stage_select():
-        src = _read_token_lines(paths["gen_src"] + ".tc")
-        trg = _read_token_lines(paths["gen_trg"] + ".tc")
-        rows = [line.split("\t") for line in C.read_lines(paths["scores"])]
-        scored = []
-        for row in rows:
-            idx = int(row[0])
-            pair = C.SentencePair(tuple(src[idx]), tuple(trg[idx]), idx)
-            scored.append(N.ScoredPair(pair, float(row[2]), float(row[3]),
-                                       float(row[4]), float(row[5]), float(row[1])))
-        validation, selected, sorted_all = N.rank_and_split(
-            scored, cfg.n_validation, cfg.n_select)
-        _write_pairs([s.pair for s in validation], paths["val_src"], paths["val_trg"])
-        _write_pairs([s.pair for s in selected], paths["sel_src"], paths["sel_trg"])
-        _write_pairs([s.pair for s in sorted_all], paths["all_src"], paths["all_trg"])
-
     stages.run("select",
                [paths["scores"], paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc"],
                {"n_validation": cfg.n_validation, "n_select": cfg.n_select},
-               [paths["val_src"], paths["val_trg"], paths["sel_src"],
-                paths["sel_trg"], paths["all_src"], paths["all_trg"]],
-               stage_select)
+               [p for name in ("validation", "selected", "sorted_all")
+                for p in splits[name]],
+               lambda: select_split(paths["scores"], paths["gen_src"] + ".tc",
+                                    paths["gen_trg"] + ".tc", cfg.n_validation,
+                                    cfg.n_select, splits))
 
     # -- bpe: learn joint merges, build vocabularies, apply ------------
+    split_tokens = {**splits, "indomain": (paths["dev_src"] + ".tc",
+                                           paths["dev_trg"] + ".tc")}
+
     def stage_bpe():
-        src = _read_token_lines(paths["gen_src"] + ".tc")
-        trg = _read_token_lines(paths["gen_trg"] + ".tc")
+        src = read_tokens(paths["gen_src"] + ".tc")
+        trg = read_tokens(paths["gen_trg"] + ".tc")
         model = learn_bpe(itertools.chain(src, trg), cfg.bpe_vocab)
         model.save(paths["merges"])
-        split_tokens = {
-            "sorted_all": (paths["all_src"], paths["all_trg"]),
-            "selected": (paths["sel_src"], paths["sel_trg"]),
-            "validation": (paths["val_src"], paths["val_trg"]),
-            "indomain": (paths["dev_src"] + ".tc", paths["dev_trg"] + ".tc"),
-        }
         bpe_corpus = []
         for split, (src_path, trg_path) in split_tokens.items():
             for side, path in (("src", src_path), ("trg", trg_path)):
                 lines = []
-                for toks in _read_token_lines(path):
+                for toks in read_tokens(path):
                     segmented = apply_bpe(model, toks)
                     lines.append(" ".join(segmented))
                     if split == "sorted_all":
@@ -406,14 +488,12 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         bpe_vocab = Vocab.from_corpus(bpe_corpus)
         bpe_vocab.save(paths["bpe_vocab"])
         word_vocab = Vocab.from_corpus(
-            _read_token_lines(paths["all_src"]), max_size=cfg.word_vocab)
+            read_tokens(splits["sorted_all"][0]), max_size=cfg.word_vocab)
         word_vocab.save(paths["word_vocab"])
 
     stages.run("bpe",
                [paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc",
-                paths["all_src"], paths["all_trg"], paths["sel_src"],
-                paths["sel_trg"], paths["val_src"], paths["val_trg"],
-                paths["dev_src"] + ".tc", paths["dev_trg"] + ".tc"],
+                *(p for pair in split_tokens.values() for p in pair)],
                {"vocab_size": cfg.bpe_vocab, "word_vocab": cfg.word_vocab},
                [paths["merges"], paths["bpe_vocab"], paths["word_vocab"]]
                + sorted(bpe_paths.values()),
@@ -422,12 +502,10 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
     # -- the in-domain source as the translate stage decodes it; a line it
     # cannot decode fails the run here, before training spends its time
     def indomain_batch() -> SourceBatch:
-        word_vocab = Vocab.load(paths["word_vocab"])
-        bpe_vocab = Vocab.load(paths["bpe_vocab"])
-        words = _read_token_lines(paths["dev_src"] + ".tc")
-        subs = _read_token_lines(bpe_paths["indomain.src"])
-        return make_source_batch([word_vocab.encode(w) for w in words],
-                                 [bpe_vocab.encode(s) for s in subs])
+        return source_batch(Vocab.load(paths["word_vocab"]),
+                            Vocab.load(paths["bpe_vocab"]),
+                            read_tokens(paths["dev_src"] + ".tc"),
+                            read_tokens(bpe_paths["indomain.src"]))
 
     try:
         check_source(indomain_batch(), cfg.model.max_positions)
@@ -435,37 +513,13 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         raise StageError("translate", exc) from exc
 
     # -- train: generic phase then fine-tuning, then averaging ---------
-    def prepare(split: str, word_src_path: str) -> list[PreparedPair]:
-        word_vocab = Vocab.load(paths["word_vocab"])
-        bpe_vocab = Vocab.load(paths["bpe_vocab"])
-        words = _read_token_lines(word_src_path)
-        subs = _read_token_lines(bpe_paths[f"{split}.src"])
-        tgts = _read_token_lines(bpe_paths[f"{split}.trg"])
-        prepared = []
-        for w, s, t in zip(words, subs, tgts):
-            prepared.append(PreparedPair(tuple(word_vocab.encode(w)),
-                                         tuple(bpe_vocab.encode(s)),
-                                         tuple(bpe_vocab.encode(t))))
-        return prepared
+    def train_files(split: str) -> tuple[str, str, str]:
+        return (splits[split][0], bpe_paths[f"{split}.src"],
+                bpe_paths[f"{split}.trg"])
 
-    def stage_train():
-        word_vocab = Vocab.load(paths["word_vocab"])
-        bpe_vocab = Vocab.load(paths["bpe_vocab"])
-        model_cfg = ModelConfig(**{**cfg.model.to_dict(),
-                                   "bpe_vocab_size": len(bpe_vocab),
-                                   "word_vocab_size": len(word_vocab)})
-        checkpoint = init_params(model_cfg, cfg.seed)
-        generic = prepare("sorted_all", paths["all_src"])
-        finetune = prepare("selected", paths["sel_src"])
-        validation = prepare("validation", paths["val_src"])
-        train(generic, finetune, validation, checkpoint,
-              cfg.train_generic, cfg.train_finetune,
-              paths["ckpt_dir"], log_path=paths["loss_log"], verbose=verbose)
-
-    train_inputs = [paths["word_vocab"], paths["bpe_vocab"],
-                    paths["all_src"], paths["sel_src"], paths["val_src"]] + [
-        bpe_paths[f"{s}.{side}"] for s in ("sorted_all", "selected", "validation")
-        for side in ("src", "trg")]
+    train_inputs = [paths["word_vocab"], paths["bpe_vocab"]] + [
+        path for split in ("sorted_all", "selected", "validation")
+        for path in train_files(split)]
     train_params = {
         "model": {**cfg.model.to_dict(), "bpe_vocab_size": 0, "word_vocab_size": 0},
         "generic": vars(cfg.train_generic).copy(),
@@ -473,7 +527,12 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         "seed": cfg.seed,
     }
     stages.run("train", train_inputs, train_params,
-               [paths["averaged"], paths["loss_log"]], stage_train)
+               [paths["averaged"], paths["loss_log"]],
+               lambda: train_model(cfg, paths["word_vocab"], paths["bpe_vocab"],
+                                   train_files("sorted_all"),
+                                   train_files("selected"),
+                                   train_files("validation"), paths["ckpt_dir"],
+                                   log_path=paths["loss_log"], verbose=verbose))
 
     # -- translate: beam-decode the in-domain source -------------------
     def stage_translate():
@@ -494,10 +553,8 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
 
     # -- postprocess: undo BPE, detokenize, normalize ------------------
     def stage_postprocess():
-        lines = []
-        for subwords in _read_token_lines(paths["hyp_bpe"]):
-            tokens = decode_bpe(subwords)
-            lines.append(C.postprocess(tokens))
+        lines = [C.postprocess(decode_bpe(subwords))
+                 for subwords in read_tokens(paths["hyp_bpe"])]
         C.write_lines(paths["hyp_txt"], lines)
 
     stages.run("postprocess", [paths["hyp_bpe"]], {},

@@ -35,27 +35,39 @@ def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:
+    """Every tensor of a TFRX1 file.  Each length in the file is checked
+    against the bytes left before it is read, so a truncated or forged
+    file raises CheckpointError and allocates nothing past its own size."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
+        left = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            nonlocal left
+            if n > left:
+                raise CheckpointError(f"{path}: truncated {what} "
+                                      f"({n} bytes wanted, {left} left)")
+            left -= n
+            return fh.read(n)
+
+        magic = read(len(MAGIC), "magic")
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         tensors: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(8)
-            if not head:
-                break
-            if len(head) != 8:
-                raise CheckpointError(f"{path}: truncated record header")
-            (name_len,) = struct.unpack("<Q", head)
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<Q", fh.read(8))
-            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
+        while left:
+            (name_len,) = struct.unpack("<Q", read(8, "record header"))
+            try:
+                name = read(name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from None
+            (rank,) = struct.unpack("<Q", read(8, f"rank of '{name}'"))
+            shape = struct.unpack(f"<{rank}Q", read(8 * rank, f"shape of '{name}'"))
             count = 1
             for dim in shape:
                 count *= dim
-            payload = fh.read(4 * count)
-            if len(payload) != 4 * count:
-                raise CheckpointError(f"{path}: truncated payload for '{name}'")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            payload = read(4 * count, f"payload for '{name}'")
+            try:
+                arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            except ValueError as exc:  # a zero dim beside one numpy cannot hold
+                raise CheckpointError(f"{path}: shape {shape} of '{name}': {exc}") from None
             tensors[name] = arr.astype(np.float32)
     return tensors

@@ -4,13 +4,14 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from transference.cli import main
 from transference.corpus import read_lines, write_lines
 from transference.model import Checkpoint, ModelConfig, Vocab, init_params
 from transference.ngram import NGramLM
 
-from conftest import write_pipeline_ini
+from conftest import write_pipeline_ini, write_world
 
 
 def run_cli(*argv):
@@ -174,6 +175,24 @@ class TestErrorCodes:
         assert run_cli("pipeline", "--config", "/nonexistent.ini") == 1
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "epochs", "abc"),
+        ("train", "grad_clip", "nan?"),
+        ("train", "warmup_step", "10"),      # unknown key: warmup_steps
+        ("train", "seed", "3"),              # the seed lives in [pipeline]
+        ("finetune", "epochs", "-1"),
+    ], ids=["bad_int", "bad_float", "unknown_key", "train_seed", "negative"])
+    def test_bad_config_is_1_and_named(self, toy_files, tmp_path, capsys,
+                                       section, key, value):
+        ini = write_pipeline_ini(tmp_path / "bad.ini", toy_files,
+                                 str(tmp_path / "work"),
+                                 overrides={section: {key: value}})
+        assert run_cli("pipeline", "--config", str(ini)) == 1
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
+
 class TestGlobalFlags:
     def test_global_workdir_and_config(self, toy_files, tmp_path):
         ini = write_pipeline_ini(tmp_path / "p.ini", toy_files,
@@ -268,3 +287,80 @@ class TestTranslateNbest:
             scores = [float(r[1]) for r in rows[first:first + 3]]
             assert scores == sorted(scores, reverse=True)
         assert [rows[0][2], rows[3][2]] == read_lines(str(tmp_path / "best.txt"))
+
+
+class TestSelectErrors:
+    @pytest.mark.parametrize("row, cause", [
+        ("7\t0.1\t1.0\t1.0\t1.0\t1.0", "index 7"),
+        ("1\t0.1\t1.0\t1.0", "4 columns"),
+    ], ids=["index_past_corpus", "columns"])
+    def test_misaligned_scores_are_2(self, tmp_path, capsys, row, cause):
+        src = tmp_path / "g.src"
+        trg = tmp_path / "g.trg"
+        write_lines(str(src), ["a b", "c d", "e f"])
+        write_lines(str(trg), ["p q", "r s", "t u"])
+        scores = tmp_path / "scores.tsv"
+        write_lines(str(scores), ["0\t0.0\t1.0\t1.0\t1.0\t1.0", row])
+        assert run_cli("select", "--scores", str(scores), "--source", str(src),
+                       "--target", str(trg), "--n-validation", "1",
+                       "--n-select", "1",
+                       "--out-prefix", str(tmp_path / "split")) == 2
+        err = capsys.readouterr().err
+        assert f"{scores} line 2" in err and cause in err
+
+
+class TestTrainingCommands:
+    """CLI ``train`` / ``finetune`` on the pipeline's own artifacts."""
+
+    @pytest.fixture(scope="class")
+    def pipeline_work(self, toy_world, tmp_path_factory):
+        root = tmp_path_factory.mktemp("train_cli")
+        files = write_world(toy_world, root)
+        ini = write_pipeline_ini(root / "p.ini", files, str(root / "work"),
+                                 overrides={"finetune": {"epochs": "0"}})
+        assert run_cli("pipeline", "--config", ini) == 0
+        return root, ini
+
+    @staticmethod
+    def data_flags(work, split, prefix=""):
+        return [f"--{prefix}source-words", os.path.join(work, "select", f"{split}.src"),
+                f"--{prefix}source-bpe", os.path.join(work, "bpe", f"{split}.src.bpe"),
+                f"--{prefix}target-bpe", os.path.join(work, "bpe", f"{split}.trg.bpe")]
+
+    def common(self, work, split):
+        return (self.data_flags(work, split)
+                + self.data_flags(work, "validation", prefix="val-")
+                + ["--word-vocab", os.path.join(work, "bpe", "word.vocab"),
+                   "--bpe-vocab", os.path.join(work, "bpe", "bpe.vocab")])
+
+    def test_train_reproduces_the_pipeline_checkpoint(self, pipeline_work,
+                                                      tmp_path):
+        root, ini = pipeline_work
+        work = str(root / "work")
+        ckpt = tmp_path / "ckpt"
+        assert run_cli("train", "--config", ini, *self.common(work, "sorted_all"),
+                       "--ckpt-dir", str(ckpt)) == 0
+        for name in ("averaged.tfrx", "averaged.json"):
+            assert ((ckpt / name).read_bytes()
+                    == (root / "work" / "ckpt" / name).read_bytes()), name
+
+    def test_finetune_from_init_writes_an_average(self, pipeline_work,
+                                                  tmp_path):
+        root, ini = pipeline_work
+        work = str(root / "work")
+        init = os.path.join(work, "ckpt", "averaged.tfrx")
+        ckpt = tmp_path / "ft"
+        assert run_cli("finetune", "--config", ini, *self.common(work, "selected"),
+                       "--ckpt-dir", str(ckpt), "--init", init,
+                       "--epochs", "1") == 0
+        tuned = Checkpoint.load(str(ckpt / "averaged.tfrx"))
+        start = Checkpoint.load(init)
+        assert tuned.step > start.step
+        assert sorted(p.name for p in ckpt.glob("epoch_*.tfrx")) == ["epoch_1.tfrx"]
+
+    def test_finetune_without_init_is_1(self, pipeline_work, tmp_path, capsys):
+        root, ini = pipeline_work
+        assert run_cli("finetune", "--config", ini,
+                       *self.common(str(root / "work"), "selected"),
+                       "--ckpt-dir", str(tmp_path / "ft")) == 1
+        assert "--init" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """Named-tensor container format round trips and wire layout."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from transference.cli import main
 from transference.errors import CheckpointError
+from transference.model import Checkpoint, ModelConfig, init_params
 from transference.tensor_io import MAGIC, load_tensors, save_tensors
 
 
@@ -73,3 +76,94 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     path = str(tmp_path / "a.tfrx")
     save_tensors(path, {"w": np.zeros(1, dtype=np.float32)})
     assert [p.name for p in tmp_path.iterdir()] == ["a.tfrx"]
+
+
+def _record(name: bytes, shape, payload: bytes, rank=None) -> bytes:
+    dims = b"".join(struct.pack("<Q", d) for d in shape)
+    return (struct.pack("<Q", len(name)) + name
+            + struct.pack("<Q", len(shape) if rank is None else rank)
+            + dims + payload)
+
+
+def test_truncation_at_every_offset_fails_or_leaves_a_prefix(tmp_path):
+    tensors = {"a": np.arange(3, dtype=np.float32),
+               "bé/c": np.ones((2, 2), dtype=np.float32),
+               "d": np.array([7.0], dtype=np.float32)}
+    full = str(tmp_path / "full.tfrx")
+    save_tensors(full, tensors)
+    blob = open(full, "rb").read()
+    cut_path = tmp_path / "cut.tfrx"
+    prefixes = 0
+    for cut in range(len(blob)):
+        cut_path.write_bytes(blob[:cut])
+        try:
+            loaded = load_tensors(str(cut_path))
+        except CheckpointError:
+            continue
+        names = list(tensors)[:len(loaded)]
+        assert list(loaded) == names and len(loaded) < len(tensors), cut
+        for name in names:
+            np.testing.assert_array_equal(loaded[name], tensors[name])
+        prefixes += 1
+    assert prefixes == len(tensors)  # the cuts at the magic and each record end
+
+
+@pytest.mark.parametrize("blob", [
+    struct.pack("<Q", 1 << 40) + b"w",
+    _record(b"w", (), b"", rank=1 << 40),
+    _record(b"w", (1 << 40,), b"\x00" * 8),
+    _record(b"w", (1 << 20, 1 << 20, 1 << 20), b""),
+], ids=["name_length", "rank", "dim", "dim_product"])
+def test_forged_lengths_raise_without_allocating(tmp_path, blob):
+    path = tmp_path / "forged.tfrx"
+    path.write_bytes(MAGIC + blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_tensors(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bad_name_and_impossible_shape_rejected(tmp_path):
+    path = tmp_path / "bad.tfrx"
+    path.write_bytes(MAGIC + _record(b"\xff\xfe", (1,), b"\x00" * 4))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_tensors(str(path))
+    path.write_bytes(MAGIC + _record(b"w", (0, 1 << 63), b""))
+    with pytest.raises(CheckpointError, match="shape"):
+        load_tensors(str(path))
+
+
+def _tiny_checkpoint(tmp_path) -> str:
+    cfg = ModelConfig(bpe_vocab_size=6, word_vocab_size=6, n_layers_fw=1,
+                      n_layers_fs=1, n_layers_es=1, n_layers_dec=1,
+                      d_model=4, d_ff=8, heads=2, dropout=0.0, max_positions=4)
+    path = str(tmp_path / "m.tfrx")
+    init_params(cfg, seed=0).save(path)
+    return path
+
+
+@pytest.mark.parametrize("sidecar", [
+    "{not json", "[1, 2]", '{"step": 3}', '{"config": {"d_model": 4}, "step": 0}',
+    '{"config": null, "step": 0}',
+], ids=["bad_json", "not_an_object", "no_config", "partial_config", "null_config"])
+def test_malformed_sidecar_is_a_checkpoint_error(tmp_path, sidecar):
+    path = _tiny_checkpoint(tmp_path)
+    (tmp_path / "m.json").write_text(sidecar, encoding="utf-8")
+    with pytest.raises(CheckpointError, match="m.json"):
+        Checkpoint.load(path)
+
+
+def test_cli_average_of_a_forged_checkpoint_exits_2(tmp_path, capsys):
+    path = _tiny_checkpoint(tmp_path)
+    blob = open(path, "rb").read()
+    # forge the rank of the first record
+    name_len = struct.unpack_from("<Q", blob, len(MAGIC))[0]
+    at = len(MAGIC) + 8 + name_len
+    open(path, "wb").write(blob[:at] + struct.pack("<Q", 1 << 40) + blob[at + 8:])
+    assert main(["average", "--inputs", path, path,
+                 "--output", str(tmp_path / "avg.tfrx")]) == 2
+    assert "truncated" in capsys.readouterr().err
