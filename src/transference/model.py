@@ -164,6 +164,20 @@ class Checkpoint:
             raise CheckpointError(
                 f"{base}.json: malformed sidecar: {exc!r}") from exc
         arrays = load_tensors(path)
+        expected = param_shapes(config)
+        for name, arr in arrays.items():
+            if name not in expected:
+                raise CheckpointError(
+                    f"{path}: tensor '{name}' is not a parameter of the "
+                    f"config in {base}.json")
+            if arr.shape != expected[name]:
+                raise CheckpointError(
+                    f"{path}: tensor '{name}' has shape {arr.shape}, the config "
+                    f"in {base}.json gives {expected[name]}")
+        missing = [name for name in expected if name not in arrays]
+        if missing:
+            raise CheckpointError(
+                f"{path}: tensor '{missing[0]}' of the config in {base}.json is missing")
         params = {name: Tensor(arr, requires_grad=True)
                   for name, arr in arrays.items()}
         return cls(params, config, step)
@@ -211,18 +225,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(
             f"key/value length mismatch: {k.shape} vs {v.shape}")
-    d_k = q.shape[-1]
-    k_t = T.transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))
-    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(d_k))
-    if mask is not None:
-        mask_t = mask if isinstance(mask, Tensor) else T.constant(mask, dtype=scores.dtype)
-        try:
-            np.broadcast_shapes(mask_t.shape, scores.shape)
-        except ValueError as exc:
-            raise ShapeError(
-                f"mask shape {mask_t.shape} does not broadcast to scores {scores.shape}") from exc
-        scores = T.add(scores, mask_t)
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    if isinstance(mask, Tensor):
+        mask = mask.data
+    return T.attention(q, k, v, mask, 1.0 / math.sqrt(q.shape[-1]))
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -278,10 +283,8 @@ def _sublayer(x: Tensor, sub_out: Tensor, params: dict[str, Tensor],
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    hidden = T.relu(T.add(T.matmul(x, params[f"{prefix}/w1"]),
-                          params[f"{prefix}/b1"]))
-    return T.add(T.matmul(hidden, params[f"{prefix}/w2"]),
-                 params[f"{prefix}/b2"])
+    hidden = T.relu(T.linear(x, params[f"{prefix}/w1"], params[f"{prefix}/b1"]))
+    return T.linear(hidden, params[f"{prefix}/w2"], params[f"{prefix}/b2"])
 
 
 def _embed(table: Tensor, ids: np.ndarray, cfg: ModelConfig,
@@ -486,7 +489,7 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
         y = _sublayer(y, _ffn(y, params, f"{prefix}/ffn"),
                       params, f"{prefix}/ffn_norm", config, training, rng)
 
-    logits = T.add(T.matmul(y, params["output/weight"]), params["output/bias"])
+    logits = T.linear(y, params["output/weight"], params["output/bias"])
     if cache is None:
         return logits
     cache.length = end
@@ -499,23 +502,12 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def init_params(config: ModelConfig, seed: int,
-                dtype=np.float32) -> Checkpoint:
-    """Deterministic initialization: Xavier-uniform projections and FFN
-    weights, N(0, d_model^-1/2) embeddings, unit layer-norm gains."""
-    rng = np.random.default_rng(seed)
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every learned tensor of ``config``, in the order
+    ``init_params`` draws them."""
     d, ff = config.d_model, config.d_ff
-    params: dict[str, Tensor] = {}
-
-    def param(name: str, data: np.ndarray) -> None:
-        params[name] = Tensor(data, requires_grad=True, dtype=dtype)
-
-    emb_std = d ** -0.5
-    param("embed/word",
-          rng.normal(0.0, emb_std, size=(config.word_vocab_size, d)).astype(dtype))
-    param("embed/bpe",
-          rng.normal(0.0, emb_std, size=(config.bpe_vocab_size, d)).astype(dtype))
-
+    shapes = {"embed/word": (config.word_vocab_size, d),
+              "embed/bpe": (config.bpe_vocab_size, d)}
     stacks = (("enc_word", config.n_layers_fw, False),
               ("enc_subword", config.n_layers_fs, False),
               ("enc_cross", config.n_layers_es, True),
@@ -526,18 +518,34 @@ def init_params(config: ModelConfig, seed: int,
             blocks = ["self_attn"] + (["cross_attn"] if has_cross else [])
             for block in blocks:
                 for w in ("wq", "wk", "wv", "wo"):
-                    param(f"{prefix}/{block}/{w}", _xavier(rng, d, d, dtype))
-                param(f"{prefix}/{block}_norm/gain", np.ones(d, dtype=dtype))
-                param(f"{prefix}/{block}_norm/bias", np.zeros(d, dtype=dtype))
-            param(f"{prefix}/ffn/w1", _xavier(rng, d, ff, dtype))
-            param(f"{prefix}/ffn/b1", np.zeros(ff, dtype=dtype))
-            param(f"{prefix}/ffn/w2", _xavier(rng, ff, d, dtype))
-            param(f"{prefix}/ffn/b2", np.zeros(d, dtype=dtype))
-            param(f"{prefix}/ffn_norm/gain", np.ones(d, dtype=dtype))
-            param(f"{prefix}/ffn_norm/bias", np.zeros(d, dtype=dtype))
+                    shapes[f"{prefix}/{block}/{w}"] = (d, d)
+                shapes[f"{prefix}/{block}_norm/gain"] = (d,)
+                shapes[f"{prefix}/{block}_norm/bias"] = (d,)
+            shapes.update({f"{prefix}/ffn/w1": (d, ff), f"{prefix}/ffn/b1": (ff,),
+                           f"{prefix}/ffn/w2": (ff, d), f"{prefix}/ffn/b2": (d,),
+                           f"{prefix}/ffn_norm/gain": (d,),
+                           f"{prefix}/ffn_norm/bias": (d,)})
+    shapes["output/weight"] = (d, config.bpe_vocab_size)
+    shapes["output/bias"] = (config.bpe_vocab_size,)
+    return shapes
 
-    param("output/weight", _xavier(rng, d, config.bpe_vocab_size, dtype))
-    param("output/bias", np.zeros(config.bpe_vocab_size, dtype=dtype))
+
+def init_params(config: ModelConfig, seed: int,
+                dtype=np.float32) -> Checkpoint:
+    """Deterministic initialization: Xavier-uniform projections and FFN
+    weights, N(0, d_model^-1/2) embeddings, unit layer-norm gains."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config).items():
+        if name.startswith("embed/"):
+            data = rng.normal(0.0, config.d_model ** -0.5, size=shape).astype(dtype)
+        elif len(shape) == 2:
+            data = _xavier(rng, *shape, dtype)
+        elif name.endswith("/gain"):
+            data = np.ones(shape, dtype=dtype)
+        else:
+            data = np.zeros(shape, dtype=dtype)
+        params[name] = Tensor(data, requires_grad=True, dtype=dtype)
     return Checkpoint(params, config, step=0)
 
 

@@ -108,8 +108,8 @@ _FIELDS = {("lm", "order"): "lm_order", ("bpe", "vocab_size"): "bpe_vocab",
 
 def _read_config(path: str) -> dict[tuple[str, str], object]:
     """The typed value of every key the file sets, by (section, key).
-    Sections outside the table are ignored; in a section of the table,
-    an unknown key or a value its type rejects is a ConfigError."""
+    A section outside the table, an unknown key or a value its type
+    rejects is a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if not parser.read(path, encoding="utf-8"):
@@ -117,7 +117,9 @@ def _read_config(path: str) -> dict[tuple[str, str], object]:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     values = {}
-    for section in filter(CONFIG_KEYS.__contains__, parser.sections()):
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"[{section}]: unknown section")
         for key, text in parser.items(section):
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"[{section}] {key}: unknown key")
@@ -212,6 +214,7 @@ def score_corpus(src_path: str, trg_path: str, lm_paths: tuple[str, ...],
 
 def _read_scores(path: str, pairs: list[C.SentencePair]) -> list[N.ScoredPair]:
     scored = []
+    seen: dict[int, int] = {}      # pair index -> line that listed it
     for number, line in enumerate(C.read_lines(path), 1):
         row = line.split("\t")
         try:
@@ -221,9 +224,12 @@ def _read_scores(path: str, pairs: list[C.SentencePair]) -> list[N.ScoredPair]:
             if not 0 <= index < len(pairs):
                 raise ValueError(f"pair index {index} outside a corpus of "
                                  f"{len(pairs)} pairs")
+            if index in seen:
+                raise ValueError(f"pair index {index} also on line {seen[index]}")
             score, h_src_in, h_src_out, h_trg_in, h_trg_out = map(float, row[1:])
         except ValueError as exc:
             raise DataError(f"{path} line {number}: {exc}") from None
+        seen[index] = number
         scored.append(N.ScoredPair(pairs[index], h_src_in, h_src_out,
                                    h_trg_in, h_trg_out, score))
     return scored

@@ -11,6 +11,7 @@ tensor feeds several operations.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -174,11 +175,15 @@ def constant(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=False, dtype=dtype)
 
 
+# The binary ops' backward rules return None for an input that takes no
+# gradient (masks, positional tables) instead of computing and dropping it.
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def rule(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make_output(out, (a, b), rule)
 
@@ -187,7 +192,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def rule(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _make_output(out, (a, b), rule)
 
@@ -197,8 +203,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def rule(g):
-        return (_unbroadcast(g * b_data, a_data.shape),
-                _unbroadcast(g * a_data, b_data.shape))
+        return (_unbroadcast(g * b_data, a_data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a_data, b_data.shape) if b.requires_grad else None)
 
     return _make_output(out, (a, b), rule)
 
@@ -213,21 +219,108 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch dimensions broadcast."""
+    """Matrix product; leading batch dimensions broadcast.
+
+    A stack of rows times one matrix, [..., d] @ [d, k], runs forward and
+    backward as flat [rows, d] GEMMs, so the weight gradient is one
+    product instead of a per-batch stack summed away."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2, got {a.shape} and {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
     a_data, b_data = a.data, b.data
+    if b_data.ndim == 2 and a_data.ndim > 2:
+        return _rows_times_matrix(a, b, None)
+    out = np.matmul(a_data, b_data)
 
     def rule(g):
-        ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
-        gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
-        return _unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_data.shape)
+        return ga, gb
 
     return _make_output(out, (a, b), rule)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x [..., d], w [d, k] and b [k], as one op."""
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear input {x.shape} does not fit weight {w.shape}")
+    if b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"linear bias {b.shape} does not fit weight {w.shape}")
+    return _rows_times_matrix(x, w, b)
+
+
+def _rows_times_matrix(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """[..., d] @ [d, k] (+ b) as one [rows, d] GEMM, with both gradients
+    as flat GEMMs and the bias gradient as one column sum."""
+    d, k = w.data.shape
+    lead = x.data.shape[:-1]
+    rows = math.prod(lead)
+    x2 = x.data.reshape(rows, d)
+    w_data = w.data
+    out = x2 @ w_data
+    if b is not None:
+        out += b.data
+    inputs = (x, w) if b is None else (x, w, b)
+
+    def rule(g):
+        g2 = g.reshape(rows, k)
+        grads = [(g2 @ w_data.T).reshape(lead + (d,)) if x.requires_grad else None,
+                 x2.T @ g2 if w.requires_grad else None]
+        if b is not None:
+            grads.append(g2.sum(axis=0) if b.requires_grad else None)
+        return grads
+
+    return _make_output(out.reshape(lead + (k,)), inputs, rule)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
+              scale: float = 1.0) -> Tensor:
+    """softmax(q @ k^T * scale + mask) @ v over the last two axes, as one
+    op with one backward rule.  Leading dimensions broadcast; ``mask`` is
+    an additive constant that takes no gradient."""
+    kind = q.data.dtype.type
+    q_data, k_data, v_data = q.data, k.data, v.data
+    probs = np.matmul(q_data, np.swapaxes(k_data, -1, -2))
+    probs *= kind(scale)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=probs.dtype)
+        try:
+            full = np.broadcast_shapes(mask.shape, probs.shape)
+        except ValueError as exc:
+            raise ShapeError(
+                f"mask shape {mask.shape} does not broadcast to scores {probs.shape}") from exc
+        if full == probs.shape:
+            probs += mask
+        else:
+            probs = probs + mask
+    if np.isnan(probs).any():
+        raise NumericError("attention scores contain NaN")
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = np.matmul(probs, v_data)
+
+    def rule(g):
+        gv = None
+        if v.requires_grad:
+            gv = _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), g), v_data.shape)
+        gs = np.matmul(g, np.swapaxes(v_data, -1, -2))
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= kind(scale)
+        gq = gk = None
+        if q.requires_grad:
+            gq = _unbroadcast(np.matmul(gs, k_data), q_data.shape)
+        if k.requires_grad:
+            gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q_data), k_data.shape)
+        return gq, gk, gv
+
+    return _make_output(out, (q, k, v), rule)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -278,25 +371,33 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     if gain.data.shape != (dim,) or bias.data.shape != (dim,):
         raise ShapeError(
             f"layer_norm gain/bias {gain.shape}/{bias.shape} do not match last dim {dim}")
-    mean = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + a.data.dtype.type(epsilon))
-    x_hat = centered * inv
-    out = x_hat * gain.data + bias.data
+    # Rows as one [rows, dim] matrix; a row sum is a product with a ones
+    # vector, much faster than a reduction over a short last axis.
+    kind = a.data.dtype.type
+    x = a.data.reshape(-1, dim)
+    ones = np.ones(dim, dtype=x.dtype)
+    inv_dim = kind(1.0 / dim)
+    x_hat = x - ((x @ ones) * inv_dim)[:, None]
+    var = np.einsum("ij,ij->i", x_hat, x_hat) * inv_dim
+    var += kind(epsilon)
+    inv = (1.0 / np.sqrt(var))[:, None]
+    x_hat *= inv
+    out = x_hat * gain.data
+    out += bias.data
     gain_data = gain.data
 
     def rule(g):
-        lead_axes = tuple(range(g.ndim - 1))
-        g_gain = (g * x_hat).sum(axis=lead_axes)
-        g_bias = g.sum(axis=lead_axes)
-        d_hat = g * gain_data
-        g_a = inv * (d_hat
-                     - d_hat.mean(axis=-1, keepdims=True)
-                     - x_hat * (d_hat * x_hat).mean(axis=-1, keepdims=True))
-        return g_a, g_gain, g_bias
+        g2 = g.reshape(-1, dim)
+        g_gain = np.einsum("ij,ij->j", g2, x_hat)
+        g_bias = g2.sum(axis=0)
+        d_hat = g2 * gain_data
+        proj = np.einsum("ij,ij->i", d_hat, x_hat) * inv_dim
+        d_hat -= ((d_hat @ ones) * inv_dim)[:, None]
+        d_hat -= x_hat * proj[:, None]
+        d_hat *= inv
+        return d_hat.reshape(a.data.shape), g_gain, g_bias
 
-    return _make_output(out, (a, gain, bias), rule)
+    return _make_output(out.reshape(a.data.shape), (a, gain, bias), rule)
 
 
 def dropout(a: Tensor, p: float, training: bool, rng) -> Tensor:
@@ -395,3 +496,42 @@ def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
         return (g_a,)
 
     return _make_output(out, (a,), rule)
+
+
+def smoothed_cross_entropy(logits: Tensor, targets: np.ndarray,
+                           counted: np.ndarray, eps: float) -> Tensor:
+    """Mean label-smoothed cross-entropy over the ``counted`` positions,
+    as one op: 1 - eps on the target id, eps / (V - 1) on every other id.
+
+    ``targets`` and the boolean ``counted`` have the shape of ``logits``
+    without its last axis.  Only the log-probabilities are kept for the
+    backward rule, which is ((a + s V) p - s - a onehot) / n at counted
+    positions, with s = eps / (V - 1) and a = 1 - eps - s."""
+    targets = np.asarray(targets)
+    counted = np.asarray(counted, dtype=bool)
+    if targets.shape != logits.data.shape[:-1] or counted.shape != targets.shape:
+        raise ShapeError(
+            f"targets {targets.shape} / counted {counted.shape} do not fit logits {logits.shape}")
+    n = int(counted.sum())
+    if n == 0:
+        raise ContractError("cross-entropy over no counted positions")
+    vocab = logits.data.shape[-1]
+    kind = logits.data.dtype.type
+    smooth = eps / (vocab - 1)
+    gold_weight = 1.0 - eps - smooth
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    per_pos = gold * kind(-gold_weight) + logp.sum(axis=-1) * kind(-smooth)
+    out = np.asarray(per_pos[counted].sum() * kind(1.0 / n))
+
+    def rule(g):
+        grad = np.exp(logp)
+        grad *= kind(gold_weight + smooth * vocab)
+        grad -= kind(smooth)
+        flat = grad.reshape(-1, vocab)
+        flat[np.arange(flat.shape[0]), targets.reshape(-1)] -= kind(gold_weight)
+        grad *= (counted * (g / n)).astype(grad.dtype)[..., None]
+        return (grad,)
+
+    return _make_output(out, (logits,), rule)

@@ -69,20 +69,7 @@ def label_smoothed_loss(logits: Tensor, target_ids: np.ndarray,
     1 - eps on the gold token, eps/(V-1) on every other vocabulary entry.
     Padding positions are excluded from the mean."""
     target_ids = np.asarray(target_ids)
-    vocab = logits.shape[-1]
-    not_pad = target_ids != pad_id
-    n_tokens = int(not_pad.sum())
-    if n_tokens == 0:
-        raise ContractError("loss over an all-padding batch")
-    logp = T.log_softmax(logits, axis=-1)
-    gold = T.reshape(T.gather_last(logp, target_ids[..., None]),
-                     target_ids.shape)
-    total = T.reduce_sum(logp, axis=-1)
-    smooth = eps_ls / (vocab - 1)
-    per_pos = T.add(T.scale(gold, -(1.0 - eps_ls - smooth)),
-                    T.scale(total, -smooth))
-    masked = T.mul(per_pos, T.constant(not_pad.astype(logits.data.dtype)))
-    return T.scale(T.reduce_sum(masked), 1.0 / n_tokens)
+    return T.smoothed_cross_entropy(logits, target_ids, target_ids != pad_id, eps_ls)
 
 
 @dataclass
@@ -118,13 +105,23 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise TrainingError(f"NaN gradient for parameter '{name}'")
         m = state.m[name]
         v = state.v[name]
+        # The same float operations, in the same order, as
+        # m = beta1 m + (1 - beta1) g; v = beta2 v + (1 - beta2) g^2;
+        # p - lr m_hat / (sqrt(v_hat) + epsilon), through three buffers.
+        term = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += term
+        np.multiply(g, g, out=term)
+        term *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + epsilon)).astype(p.data.dtype)
+        v += term
+        update = np.divide(m, bc1)
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += epsilon
+        update *= lr
+        update /= denom
+        p.data = p.data - update.astype(p.data.dtype, copy=False)
     return params, state
 
 

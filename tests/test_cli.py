@@ -308,6 +308,22 @@ class TestSelectErrors:
         err = capsys.readouterr().err
         assert f"{scores} line 2" in err and cause in err
 
+    def test_repeated_pair_index_is_2(self, tmp_path, capsys):
+        src = tmp_path / "g.src"
+        trg = tmp_path / "g.trg"
+        write_lines(str(src), ["a b", "c d", "e f"])
+        write_lines(str(trg), ["p q", "r s", "t u"])
+        scores = tmp_path / "scores.tsv"
+        write_lines(str(scores), [f"{i}\t0.{n}\t1.0\t1.0\t1.0\t1.0"
+                                  for n, i in enumerate((0, 0, 1))])
+        assert run_cli("select", "--scores", str(scores), "--source", str(src),
+                       "--target", str(trg), "--n-validation", "1",
+                       "--n-select", "1",
+                       "--out-prefix", str(tmp_path / "split")) == 2
+        err = capsys.readouterr().err
+        assert f"{scores} line 2" in err and "index 0 also on line 1" in err
+        assert not list(tmp_path.glob("split*"))
+
 
 class TestTrainingCommands:
     """CLI ``train`` / ``finetune`` on the pipeline's own artifacts."""

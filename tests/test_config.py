@@ -73,3 +73,11 @@ def test_data_is_required_only_to_run_the_pipeline(tmp_path, capsys):
         run_pipeline(cfg)
     assert main(["pipeline", "--config", ini]) == 1
     assert "[data]" in capsys.readouterr().err
+
+
+def test_misspelled_section_is_a_config_error(tmp_path, capsys):
+    ini = write_ini(tmp_path / "c.ini", "[train]\nepochs = 2\n[fintune]\nepochs = 0\n")
+    with pytest.raises(ConfigError, match=r"\[fintune\]"):
+        load_pipeline_config(ini)
+    assert main(["pipeline", "--config", ini]) == 1
+    assert "[fintune]" in capsys.readouterr().err

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from transference import tensor as T
-from transference.errors import ConfigError, ContractError, ShapeError
+from transference.errors import (ConfigError, ContractError, NumericError,
+                                 ShapeError)
 from transference.model import (Checkpoint, ModelConfig, Vocab,
                                 decode_forward, encode, init_params,
                                 make_source_batch, multi_head_attention,
@@ -111,6 +112,25 @@ class TestScaledDotAttention:
             scaled_dot_attention(Tensor(np.zeros((2, 4))),
                                  Tensor(np.zeros((3, 4))),
                                  Tensor(np.zeros((2, 4))))
+
+    def test_nan_scores_raise(self):
+        q = Tensor(np.array([[np.nan, 0.0]]))
+        with pytest.raises(NumericError):
+            scaled_dot_attention(q, Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))
+
+    def test_mask_tensor_and_one_tape_entry(self):
+        rng = np.random.default_rng(10)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True,
+                          dtype=np.float64) for _ in range(3))
+        mask = np.where(np.arange(3) == 2, T.MASK_VALUE, 0.0)[None, None, :]
+        with GradTape() as tape:
+            out = scaled_dot_attention(q, k, v, T.constant(mask, dtype=np.float64))
+        assert len(tape.entries) == 1
+        for b in range(2):
+            np.testing.assert_allclose(
+                out.data[b], attention_reference(q.data[b], k.data[b], v.data[b],
+                                                 np.broadcast_to(mask[0], (3, 3))),
+                rtol=1e-10)
 
 
 class TestMultiHeadAttention:

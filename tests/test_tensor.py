@@ -328,3 +328,167 @@ class TestTensorInvariants:
                              Tensor(np.zeros(8), dtype=np.float64))]
         for out in outs:
             assert np.isfinite(out.data).all()
+
+
+def _unfused_attention(q, k, v, mask, scale):
+    """The attention core as separate tape ops."""
+    nd = len(k.shape)
+    k_t = T.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+    scores = T.scale(T.matmul(q, k_t), scale)
+    if mask is not None:
+        scores = T.add(scores, T.constant(mask, dtype=scores.dtype))
+    return T.matmul(T.softmax(scores, axis=-1), v)
+
+
+def _unfused_smoothed_ce(logits, targets, counted, eps):
+    """The label-smoothed loss as separate tape ops."""
+    vocab = logits.shape[-1]
+    logp = T.log_softmax(logits, axis=-1)
+    gold = T.reshape(T.gather_last(logp, targets[..., None]), targets.shape)
+    smooth = eps / (vocab - 1)
+    per_pos = T.add(T.scale(gold, -(1.0 - eps - smooth)),
+                    T.scale(T.reduce_sum(logp, axis=-1), -smooth))
+    masked = T.mul(per_pos, T.constant(counted.astype(np.float64)))
+    return T.scale(T.reduce_sum(masked), 1.0 / int(counted.sum()))
+
+
+def _attention_cases():
+    """Inputs and additive mask by case: a padding mask, a causal mask,
+    and keys and values shared across heads."""
+    rng = np.random.default_rng(31)
+    pad = np.zeros((2, 1, 1, 5))
+    pad[1, ..., 3:] = T.MASK_VALUE
+    causal = np.triu(np.full((4, 4), T.MASK_VALUE), k=1)[None, None]
+    return {
+        "padding": ({"q": rng.normal(size=(2, 3, 4, 6)),
+                     "k": rng.normal(size=(2, 3, 5, 6)),
+                     "v": rng.normal(size=(2, 3, 5, 2))}, pad),
+        "causal": ({"q": rng.normal(size=(2, 2, 4, 3)),
+                    "k": rng.normal(size=(2, 2, 4, 3)),
+                    "v": rng.normal(size=(2, 2, 4, 3))}, causal),
+        "broadcast_heads": ({"q": rng.normal(size=(2, 3, 4, 6)),
+                             "k": rng.normal(size=(2, 1, 5, 6)),
+                             "v": rng.normal(size=(2, 1, 5, 3))}, None),
+    }
+
+
+def _weighted_sum(out, seed):
+    """A scalar that reads every output entry with its own weight."""
+    w = np.random.default_rng(seed).normal(size=out.shape)
+    return T.reduce_sum(T.mul(out, T.constant(w, dtype=np.float64)))
+
+
+def _grads_of(build, arrays):
+    tensors = {name: Tensor(arr, requires_grad=True, dtype=np.float64)
+               for name, arr in arrays.items()}
+    with GradTape() as tape:
+        loss = build(tensors)
+    grads = backward(tape, loss)
+    return loss, {name: grads[t] for name, t in tensors.items()}
+
+
+class TestFusedOps:
+    """The fused training ops: finite-difference gradients, and the same
+    values and gradients as the unfused compositions they replace."""
+
+    @pytest.mark.parametrize("case", ["padding", "causal", "broadcast_heads"])
+    def test_attention_gradients(self, case):
+        arrays, mask = _attention_cases()[case]
+        _gradcheck_op(lambda t: _weighted_sum(
+            T.attention(t["q"], t["k"], t["v"], mask, 0.4), 3), arrays)
+
+    @pytest.mark.parametrize("case", ["padding", "causal", "broadcast_heads"])
+    def test_attention_equals_unfused(self, case):
+        arrays, mask = _attention_cases()[case]
+        fused, g_fused = _grads_of(lambda t: _weighted_sum(
+            T.attention(t["q"], t["k"], t["v"], mask, 0.4), 3), arrays)
+        plain, g_plain = _grads_of(lambda t: _weighted_sum(
+            _unfused_attention(t["q"], t["k"], t["v"], mask, 0.4), 3), arrays)
+        assert abs(fused.item() - plain.item()) <= 1e-12
+        for name in arrays:
+            np.testing.assert_allclose(g_fused[name], g_plain[name],
+                                       rtol=0, atol=1e-12)
+
+    def test_attention_rejects_nan_and_bad_mask(self):
+        q = Tensor(np.array([[np.nan, 1.0]]))
+        k = Tensor(np.ones((3, 2)))
+        with pytest.raises(NumericError):
+            T.attention(q, k, k)
+        with pytest.raises(ShapeError, match="mask"):
+            T.attention(Tensor(np.ones((1, 2))), k, k, np.zeros((2, 2)))
+
+    def test_linear_gradients_and_unfused_equality(self):
+        rng = np.random.default_rng(32)
+        arrays = {"x": rng.normal(size=(2, 3, 4)), "w": rng.normal(size=(4, 5)),
+                  "b": rng.normal(size=5)}
+        fused = lambda t: _weighted_sum(T.linear(t["x"], t["w"], t["b"]), 4)
+        _gradcheck_op(fused, arrays)
+        value, g_fused = _grads_of(fused, arrays)
+        plain, g_plain = _grads_of(lambda t: _weighted_sum(
+            T.add(T.matmul(t["x"], t["w"]), t["b"]), 4), arrays)
+        assert abs(value.item() - plain.item()) <= 1e-12
+        for name in arrays:
+            np.testing.assert_allclose(g_fused[name], g_plain[name],
+                                       rtol=0, atol=1e-12)
+
+    def test_linear_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))),
+                     Tensor(np.ones(5)))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))),
+                     Tensor(np.ones(4)))
+
+    @pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 2, 3, 4)],
+                             ids=["3d", "4d"])
+    def test_rows_times_matrix_gradients(self, a_shape):
+        rng = np.random.default_rng(33)
+        arrays = {"a": rng.normal(size=a_shape), "b": rng.normal(size=(4, 3))}
+        build = lambda t: _weighted_sum(T.matmul(t["a"], t["b"]), 5)
+        _gradcheck_op(build, arrays)
+        _, grads = _grads_of(build, arrays)
+        # the weight gradient equals the per-entry products summed away
+        w = np.random.default_rng(5).normal(size=a_shape[:-1] + (3,))
+        stacked = np.matmul(np.swapaxes(arrays["a"], -1, -2), w)
+        np.testing.assert_allclose(
+            grads["b"], stacked.reshape(-1, 4, 3).sum(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_smoothed_cross_entropy_gradients(self, eps):
+        rng = np.random.default_rng(34)
+        targets = np.array([[1, 4, 0], [2, 0, 0]])
+        counted = targets != 0
+        arrays = {"z": rng.normal(size=(2, 3, 6))}
+        fused = lambda t: T.smoothed_cross_entropy(t["z"], targets, counted, eps)
+        _gradcheck_op(fused, arrays)
+        value, g_fused = _grads_of(fused, arrays)
+        plain, g_plain = _grads_of(
+            lambda t: _unfused_smoothed_ce(t["z"], targets, counted, eps), arrays)
+        assert abs(value.item() - plain.item()) <= 1e-12
+        np.testing.assert_allclose(g_fused["z"], g_plain["z"], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(g_fused["z"][~counted], 0.0)
+
+    def test_smoothed_cross_entropy_contract(self):
+        z = Tensor(np.zeros((1, 2, 3)))
+        with pytest.raises(ContractError):
+            T.smoothed_cross_entropy(z, np.array([[1, 2]]),
+                                     np.zeros((1, 2), dtype=bool), 0.1)
+        with pytest.raises(ShapeError):
+            T.smoothed_cross_entropy(z, np.array([1, 2]),
+                                     np.ones(2, dtype=bool), 0.1)
+
+    def test_constant_inputs_get_no_gradient(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        c = T.constant(np.ones((2, 3)))
+        w = T.constant(np.ones((3, 2)))
+        x3 = Tensor(np.ones((1, 2, 3)), requires_grad=True)
+        ops = {"add": lambda: T.add(x, c), "sub": lambda: T.sub(c, x),
+               "mul": lambda: T.mul(x, c), "matmul": lambda: T.matmul(x, w),
+               "rows_matmul": lambda: T.matmul(x3, w)}
+        for name, op in ops.items():
+            with GradTape() as tape:
+                out = op()
+            (entry,) = tape.entries
+            grads = entry.backward_rule(np.ones_like(out.data))
+            for inp, grad in zip(entry.inputs, grads):
+                assert (grad is None) == (not inp.requires_grad), name

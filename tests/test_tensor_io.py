@@ -1,5 +1,6 @@
 """Named-tensor container format round trips and wire layout."""
 
+import json
 import struct
 import tracemalloc
 
@@ -154,6 +155,33 @@ def test_malformed_sidecar_is_a_checkpoint_error(tmp_path, sidecar):
     path = _tiny_checkpoint(tmp_path)
     (tmp_path / "m.json").write_text(sidecar, encoding="utf-8")
     with pytest.raises(CheckpointError, match="m.json"):
+        Checkpoint.load(path)
+
+
+def test_sidecar_config_must_fit_the_tensors(tmp_path, capsys):
+    path = _tiny_checkpoint(tmp_path)
+    sidecar = tmp_path / "m.json"
+    data = json.loads(sidecar.read_text(encoding="utf-8"))
+    data["config"]["d_model"] = 8
+    sidecar.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(CheckpointError, match=r"'embed/word' has shape \(6, 4\)"):
+        Checkpoint.load(path)
+    assert main(["average", "--inputs", path, path,
+                 "--output", str(tmp_path / "avg.tfrx")]) == 2
+    assert "embed/word" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda t: t.pop("output/bias"), "output/bias"),
+    (lambda t: t.update({"decoder/layer_1/ffn/w1": t["decoder/layer_0/ffn/w1"]}),
+     "decoder/layer_1/ffn/w1"),
+], ids=["missing", "extra"])
+def test_missing_or_extra_tensor_is_named(tmp_path, edit, name):
+    path = _tiny_checkpoint(tmp_path)
+    tensors = load_tensors(path)
+    edit(tensors)
+    save_tensors(path, tensors)
+    with pytest.raises(CheckpointError, match=name):
         Checkpoint.load(path)
 
 

@@ -140,6 +140,36 @@ class TestAdamStep:
             assert params["w"].data[0] == pytest.approx(theta, rel=1e-12)
         assert state.step == 3
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_textbook_formula(self, dtype):
+        rng = np.random.default_rng(12)
+        shapes = {"w": (5, 3), "b": (3,)}
+        params = {n: Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype)
+                  for n, s in shapes.items()}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        state = OptimizerState.for_params(params)
+        beta1, beta2, eps = 0.9, 0.98, 1e-9
+        for t in range(1, 5):
+            lr = 0.01 / t
+            grads = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+            before = {n: p.data for n, p in params.items()}
+            adam_step(params, grads, state, lr, beta1, beta2, eps)
+            for n, g in grads.items():
+                m[n] *= beta1
+                m[n] += (1.0 - beta1) * g
+                v[n] *= beta2
+                v[n] += (1.0 - beta2) * (g * g)
+                m_hat = m[n] / (1.0 - beta1 ** t)
+                v_hat = v[n] / (1.0 - beta2 ** t)
+                ref[n] = ref[n] - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(dtype)
+                assert params[n].data is not before[n]
+                assert params[n].data.dtype == dtype
+                np.testing.assert_array_equal(params[n].data, ref[n])
+                np.testing.assert_array_equal(state.m[n], m[n])
+                np.testing.assert_array_equal(state.v[n], v[n])
+
     def test_nan_gradient_names_parameter(self):
         params = self._params([1.0])
         state = OptimizerState.for_params(params)
