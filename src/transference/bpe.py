@@ -3,6 +3,7 @@ apply them to token sequences, and reverse the segmentation exactly."""
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -59,16 +60,22 @@ class BpeModel:
 
     @classmethod
     def load(cls, path: str) -> "BpeModel":
+        """Read a merge file; a line that is not two symbols separated by
+        one space raises DataError naming the file and the line."""
         merges: list[tuple[str, str]] = []
         with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                line = line.rstrip("\n")
-                if i == 0 and line.startswith("#"):
-                    continue
-                if not line:
-                    continue
-                a, b = line.split(" ")
-                merges.append((a, b))
+            try:
+                lines = fh.read().split("\n")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        for number, line in enumerate(lines, 1):
+            if not line or (number == 1 and line.startswith("#")):
+                continue
+            pair = line.split(" ")
+            if len(pair) != 2 or not all(pair):
+                raise DataError(f"{path} line {number}: expected two symbols "
+                                f"separated by one space, got {line!r}")
+            merges.append((pair[0], pair[1]))
         return cls(merges)
 
 
@@ -93,6 +100,11 @@ def learn_bpe(sentences: Iterable[Sequence[str]],
     frequency, until the symbol vocabulary reaches ``target_vocab`` or no
     pair occurs at least twice.  Frequency ties break lexicographically,
     so learning is deterministic and independent of corpus order.
+
+    Pairs are counted once.  A merge then revisits only the word types
+    that hold the merged pair (``where``), and the best pair comes from a
+    heap of ``(-count, pair)`` whose entries are dropped once their count
+    is out of date, so each merge picks what a full recount would.
     """
     word_freq: Counter[str] = Counter()
     for sent in sentences:
@@ -105,23 +117,52 @@ def learn_bpe(sentences: Iterable[Sequence[str]],
     for symbols in words.values():
         vocab.update(symbols)
 
+    pair_counts: dict[tuple[str, str], int] = {}
+    # every word type holding a pair; a superset, since a merge leaves
+    # the words that lose a pair in its set
+    where: dict[tuple[str, str], set[str]] = {}
+    for word, symbols in words.items():
+        freq = word_freq[word]
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
+            where.setdefault(pair, set()).add(word)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     while len(vocab) < target_vocab:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for word, symbols in words.items():
-            freq = word_freq[word]
-            for pair in zip(symbols, symbols[1:]):
-                pair_counts[pair] += freq
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)          # stale: the count has changed
+        if not heap:
             break
-        best_pair, best_count = min(
-            pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        best_count, best_pair = -heap[0][0], heap[0][1]
         if best_count < 2:
             break
         merges.append(best_pair)
         vocab.add(best_pair[0] + best_pair[1])
-        for word in words:
-            words[word] = _merge_symbols(words[word], best_pair)
+        changed = set()
+        for word in where.pop(best_pair):
+            old = words[word]
+            new = _merge_symbols(old, best_pair)
+            if len(new) == len(old):
+                continue
+            words[word] = new
+            freq = word_freq[word]
+            for pair in zip(old, old[1:]):
+                count = pair_counts[pair] - freq
+                if count:
+                    pair_counts[pair] = count
+                else:
+                    del pair_counts[pair]
+                changed.add(pair)
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] = pair_counts.get(pair, 0) + freq
+                where.setdefault(pair, set()).add(word)
+                changed.add(pair)
+        for pair in changed:
+            count = pair_counts.get(pair)
+            if count is not None:
+                heapq.heappush(heap, (-count, pair))
     return BpeModel(merges, frozenset(vocab))
 
 

@@ -89,19 +89,38 @@ def _bleu_details(hypotheses: list[str], references: list[str],
 
 
 def _levenshtein(a: list[str], b: list[str]) -> int:
-    """Word-level edit distance with unit insert/delete/substitute costs."""
+    """Word-level edit distance with unit insert/delete/substitute costs.
+
+    Bit-parallel (Myers 1999, in Hyyro's 2003 form for the global
+    distance): bit i of the vertical deltas ``pv``/``mv`` says whether
+    D[i+1][j] - D[i][j] is +1/-1 in the current column j, so one column
+    of the dynamic-programming table costs a few integer operations
+    whatever the length of ``a``; ``dist`` follows the last row."""
     if not a:
         return len(b)
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, 1):
-        row = [i] + [0] * len(b)
-        for j, tok_b in enumerate(b, 1):
-            row[j] = min(prev[j] + 1, row[j - 1] + 1,
-                         prev[j - 1] + (0 if tok_a == tok_b else 1))
-        prev = row
-    return prev[-1]
+    match: dict[str, int] = {}       # token -> bit set of its positions in a
+    for i, tok in enumerate(a):
+        match[tok] = match.get(tok, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, dist = mask, 0, len(a)
+    for tok in b:
+        eq = match.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ((ph << 1) | 1) & mask   # row 0 rises by one per column
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return dist
 
 
 def _is_sublist(span: list[str], seq: list[str]) -> bool:

@@ -31,15 +31,17 @@ class NGramLM:
     """
 
     def __init__(self, order: int, vocab: set[str],
-                 counts: list[dict[tuple[str, ...], Counter]]):
+                 counts: list[dict[tuple[str, ...], dict[str, int]]]):
         self.order = order
         self.vocab = vocab
         self.vocab_sorted = tuple(sorted(vocab))
-        # counts[k] maps a length-k context tuple to a Counter of
+        # counts[k] maps a length-k context tuple to the counts of its
         # continuation tokens.
         self.counts = counts
-        self._totals = [
-            {ctx: (sum(c.values()), len(c)) for ctx, c in level.items()}
+        # per level, context -> (continuation counts, tokens seen + types,
+        # types): one lookup gives _prob all it needs
+        self._levels = [
+            {ctx: (c, sum(c.values()) + len(c), len(c)) for ctx, c in level.items()}
             for level in counts
         ]
 
@@ -56,18 +58,17 @@ class NGramLM:
         return self._prob(token, context)
 
     def _prob(self, token: str, context: tuple[str, ...]) -> float:
-        if not context:
-            lower = 1.0 / len(self.vocab)
-        else:
-            lower = self._prob(token, context[1:])
-        level = self.counts[len(context)]
-        bucket = level.get(context)
-        if bucket is None:
-            return lower
-        total, types = self._totals[len(context)][context]
-        if types == 0:
-            return lower
-        return (bucket.get(token, 0) + types * lower) / (total + types)
+        """Witten-Bell interpolation from the uniform distribution up
+        through each suffix of ``context``, shortest first; a context
+        never seen keeps the lower-order value."""
+        p = 1.0 / len(self.vocab)
+        n = len(context)
+        for k in range(n + 1):
+            entry = self._levels[k].get(context[n - k:])
+            if entry is not None and entry[2]:
+                bucket, denominator, types = entry
+                p = (bucket.get(token, 0) + types * p) / denominator
+        return p
 
     def sentence_events(self, tokens: list[str] | tuple[str, ...]
                         ) -> list[tuple[str, tuple[str, ...]]]:
@@ -94,9 +95,8 @@ class NGramLM:
     @classmethod
     def from_json(cls, text: str) -> "NGramLM":
         payload = json.loads(text)
-        counts: list[dict[tuple[str, ...], Counter]] = []
-        for level in payload["counts"]:
-            counts.append({tuple(ctx): Counter(dict(items)) for ctx, items in level})
+        counts = [{tuple(ctx): dict(items) for ctx, items in level}
+                  for level in payload["counts"]]
         return cls(payload["order"], set(payload["vocab"]), counts)
 
 
@@ -111,15 +111,17 @@ def train_lm(corpus: list[list[str]] | list[tuple[str, ...]],
     vocab = {tok for tok, count in raw.items() if count >= min_count}
     vocab.update((UNK, EOS))
 
-    counts: list[dict[tuple[str, ...], Counter]] = [{} for _ in range(order)]
+    counts: list[dict[tuple[str, ...], dict[str, int]]] = [{} for _ in range(order)]
     for sent in corpus:
         mapped = [tok if tok in vocab else UNK for tok in sent]
         padded = [BOS] * (order - 1) + mapped
         for i, target in enumerate(mapped + [EOS]):
             for k in range(order):
                 context = tuple(padded[i + (order - 1) - k:i + (order - 1)])
-                bucket = counts[k].setdefault(context, Counter())
-                bucket[target] += 1
+                bucket = counts[k].get(context)
+                if bucket is None:
+                    bucket = counts[k][context] = {}
+                bucket[target] = bucket.get(target, 0) + 1
     return NGramLM(order, vocab, counts)
 
 

@@ -200,14 +200,27 @@ def lm_train(corpus_path: str, model_path: str, order: int) -> None:
         fh.write(lm.to_json())
 
 
+def _read_lm(path: str) -> N.NGramLM:
+    """An n-gram model written by ``lm_train``; a file that is not one
+    raises DataError naming the file and the cause."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lm = N.NGramLM.from_json(fh.read())
+        except KeyError as exc:
+            raise DataError(f"{path}: language model has no {exc} key") from None
+        except (ValueError, TypeError) as exc:   # not JSON, or not this shape
+            raise DataError(f"{path}: not a language model: {exc}") from None
+    if len(lm.counts) != lm.order:
+        raise DataError(f"{path}: 'counts' has {len(lm.counts)} levels for a "
+                        f"model of order {lm.order}")
+    return lm
+
+
 def score_corpus(src_path: str, trg_path: str, lm_paths: tuple[str, ...],
                  scores_path: str) -> None:
     """Bilingual cross-entropy difference of every pair; ``lm_paths`` are
     the in-domain and out-of-domain source models, then the target ones."""
-    lms = []
-    for path in lm_paths:
-        with open(path, encoding="utf-8") as fh:
-            lms.append(N.NGramLM.from_json(fh.read()))
+    lms = [_read_lm(path) for path in lm_paths]
     N.write_scores_tsv(scores_path, [N.score_pair(pair, *lms) for pair
                                      in _read_pairs(src_path, trg_path)])
 

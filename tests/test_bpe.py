@@ -65,6 +65,43 @@ class TestLearnBpe:
             assert best[0] == merge, f"merge {depth}"
             assert best[1] >= 2
 
+    def test_overlapping_pairs_match_brute_force(self):
+        # runs of one symbol (aaaa) and alternations (abab) make pair
+        # occurrences overlap, which the incremental counts must get right
+        rng = np.random.default_rng(7)
+        stems = ["aaaa", "abab", "aaab", "baaa", "abba", "aabb", "bbbb", "ab"]
+        word_freq = {}
+        for _ in range(30):
+            word = "".join(stems[i] for i in rng.integers(0, len(stems), 2))
+            word_freq[word] = word_freq.get(word, 0) + int(rng.integers(1, 6))
+        model = learn_bpe(corpus_from_freq(word_freq), target_vocab=60)
+        assert len(model.merges) > 10
+        for depth, merge in enumerate(model.merges):
+            counts = brute_force_pair_counts(word_freq, model.merges[:depth])
+            best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+            assert best[0] == merge, f"merge {depth}"
+            assert best[1] >= 2
+
+    def test_stops_at_target(self):
+        floor = len(set("".join(CLASSIC)) | {END_OF_WORD})
+        model = learn_bpe(corpus_from_freq(CLASSIC), target_vocab=floor + 3)
+        assert len(model.merges) == 3
+        assert len(model.vocab) == floor + 3
+
+    def test_stops_when_best_pair_is_rare(self):
+        # after "ab" and "ab</w>" every pair left occurs once
+        model = learn_bpe(corpus_from_freq({"ab": 2, "cd": 1}), target_vocab=100)
+        counts = brute_force_pair_counts({"ab": 2, "cd": 1}, model.merges)
+        assert model.merges == [("a", "b"), ("ab", END_OF_WORD)]
+        assert max(counts.values()) == 1
+
+    def test_stops_when_no_pair_remains(self):
+        # single-character words: one merge each with the end-of-word
+        # marker, then no word has two symbols
+        model = learn_bpe(corpus_from_freq({"a": 3, "b": 2}), target_vocab=100)
+        assert model.merges == [("a", END_OF_WORD), ("b", END_OF_WORD)]
+        assert brute_force_pair_counts({"a": 3, "b": 2}, model.merges) == {}
+
     def test_vocab_bounded_by_target(self):
         # the character inventory (11 symbols here) is the unavoidable
         # floor; above it the target caps the learned vocabulary exactly

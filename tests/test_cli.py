@@ -325,6 +325,42 @@ class TestSelectErrors:
         assert not list(tmp_path.glob("split*"))
 
 
+class TestModelFileErrors:
+    def test_malformed_merge_line_is_2(self, tmp_path, capsys):
+        merges = tmp_path / "merges.txt"
+        write_lines(str(merges), ["# bpe merge table v1", "l o", "a b c"])
+        corpus = tmp_path / "c.txt"
+        write_lines(str(corpus), ["low"])
+        assert run_cli("bpe-apply", "--merges", str(merges), "--input",
+                       str(corpus), "--output", str(tmp_path / "out.txt")) == 2
+        err = capsys.readouterr().err
+        assert f"{merges} line 3" in err and "'a b c'" in err
+
+    @pytest.mark.parametrize("text, cause", [
+        ('{"order": 2, "vocab": ["a"]}', "no 'counts' key"),
+        ("order 2\n", "not a language model"),
+        ('{"order": 2, "vocab": ["a"], "counts": [[]]}', "1 levels"),
+    ], ids=["no_counts", "not_json", "missing_level"])
+    def test_malformed_language_model_is_2(self, tmp_path, capsys, text, cause):
+        src = tmp_path / "g.src"
+        trg = tmp_path / "g.trg"
+        write_lines(str(src), ["a b", "a a"])
+        write_lines(str(trg), ["b a", "b b"])
+        good = tmp_path / "good.lm"
+        assert run_cli("lm-train", "--input", str(src), "--model", str(good),
+                       "--order", "2") == 0
+        bad = tmp_path / "bad.lm"
+        bad.write_text(text, encoding="utf-8")
+        scores = tmp_path / "scores.tsv"
+        assert run_cli("score", "--source", str(src), "--target", str(trg),
+                       "--lm-in-source", str(good), "--lm-out-source", str(bad),
+                       "--lm-in-target", str(good), "--lm-out-target", str(good),
+                       "--output", str(scores)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and cause in err
+        assert not scores.exists()
+
+
 class TestTrainingCommands:
     """CLI ``train`` / ``finetune`` on the pipeline's own artifacts."""
 

@@ -7,7 +7,8 @@ import pytest
 
 from transference.errors import ContractError
 from transference.metrics import (bleu, evaluate_corpus, metric_tokenize,
-                                  ter, _bleu_details, _sentence_edits)
+                                  ter, _bleu_details, _levenshtein,
+                                  _sentence_edits)
 
 from oracles import exhaustive_shift_edits, levenshtein_reference
 
@@ -106,6 +107,16 @@ class TestTer:
             hyp = [str(w) for w in rng.choice(words, size=rng.integers(1, 8))]
             ref = [str(w) for w in rng.choice(words, size=rng.integers(1, 8))]
             assert _sentence_edits(hyp, ref) <= levenshtein_reference(hyp, ref)
+
+    def test_levenshtein_matches_reference(self):
+        # lengths past 64 tokens run the bit vectors over more than one
+        # machine word
+        rng = np.random.default_rng(2)
+        for vocab in ("ab", "abcd", "abcdefghijklmnop"):
+            for _ in range(60):
+                a = [str(w) for w in rng.choice(list(vocab), size=rng.integers(0, 80))]
+                b = [str(w) for w in rng.choice(list(vocab), size=rng.integers(0, 80))]
+                assert _levenshtein(a, b) == levenshtein_reference(a, b), (a, b)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ContractError):

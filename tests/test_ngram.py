@@ -1,6 +1,7 @@
 """Witten-Bell n-gram models and cross-entropy-difference scoring."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,20 @@ from transference.errors import ConfigError, ContractError, DataError
 from transference.ngram import (BOS, EOS, UNK, NGramLM, cross_entropy,
                                 rank_and_split, score_pair, train_lm,
                                 write_scores_tsv, ScoredPair)
+
+
+def recursive_prob(lm, token, context):
+    """Witten-Bell interpolation written as the textbook recursion over
+    ``lm.counts``: the reference for NGramLM's loop."""
+    if not context:
+        lower = 1.0 / len(lm.vocab)
+    else:
+        lower = recursive_prob(lm, token, context[1:])
+    bucket = lm.counts[len(context)].get(context)
+    if not bucket:
+        return lower
+    total, types = sum(bucket.values()), len(bucket)
+    return (bucket.get(token, 0) + types * lower) / (total + types)
 
 
 def uniform_lm(tokens):
@@ -57,6 +72,23 @@ class TestTrainLM:
         assert "jednou" not in lm.vocab
         assert lm.map_token("jednou") == UNK
 
+    def test_counts_match_brute_force_events(self):
+        rng = np.random.default_rng(4)
+        words = ["a", "b", "c", "d", "e", "f"]
+        corpus = [[words[i] for i in rng.integers(0, 6, size=rng.integers(1, 8))]
+                  for _ in range(25)]
+        for order in (1, 2, 3, 4):
+            lm = train_lm(corpus, order=order, min_count=3)
+            expected = [Counter() for _ in range(order)]
+            for sent in corpus:
+                tokens = [BOS] * (order - 1) + [lm.map_token(t) for t in sent] + [EOS]
+                for i in range(order - 1, len(tokens)):
+                    for k in range(order):
+                        expected[k][(tuple(tokens[i - k:i]), tokens[i])] += 1
+            got = [Counter({(ctx, tok): n for ctx, bucket in level.items()
+                            for tok, n in bucket.items()}) for level in lm.counts]
+            assert got == expected, f"order {order}"
+
     def test_context_distributions_normalize(self):
         rng = np.random.default_rng(0)
         words = ["alfa", "beta", "gama", "delta"]
@@ -81,6 +113,22 @@ class TestCrossEntropy:
                      + math.log2(lm.prob("b", ("a",)))
                      + math.log2(lm.prob(EOS, ("b",)))) / 3
         assert cross_entropy(lm, ["a", "b"]) == pytest.approx(expected, abs=1e-12)
+
+    def test_equals_recursive_reference_exactly(self):
+        rng = np.random.default_rng(5)
+        words = ["alfa", "beta", "gama", "delta", "eta"]
+        corpus = [[words[i] for i in rng.integers(0, 5, size=rng.integers(1, 9))]
+                  for _ in range(40)]
+        sentences = [["alfa", "nové", "beta", "beta"], ["zcela", "cizí"],
+                     ["gama"], ["eta", "delta", "alfa", "nic", "gama", "eta"]]
+        for order in (1, 2, 3, 4):
+            lm = train_lm(corpus, order=order)
+            for sentence in sentences:
+                events = lm.sentence_events(sentence)
+                total = 0.0
+                for target, context in events:
+                    total -= math.log2(recursive_prob(lm, target, context))
+                assert cross_entropy(lm, sentence) == total / len(events)
 
     def test_memorizing_lm_near_zero(self):
         lm = train_lm([["b", "c", "d", "e"]] * 50, order=3)
