@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .corpus import read_lines
 from .errors import DataError
 
 END_OF_WORD = "</w>"
@@ -63,12 +64,7 @@ class BpeModel:
         """Read a merge file; a line that is not two symbols separated by
         one space raises DataError naming the file and the line."""
         merges: list[tuple[str, str]] = []
-        with open(path, encoding="utf-8") as fh:
-            try:
-                lines = fh.read().split("\n")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-        for number, line in enumerate(lines, 1):
+        for number, line in enumerate(read_lines(path), 1):
             if not line or (number == 1 and line.startswith("#")):
                 continue
             pair = line.split(" ")

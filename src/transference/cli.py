@@ -17,9 +17,9 @@ from .bpe import BpeModel, apply_bpe, decode_bpe, learn_bpe
 from .errors import ConfigError, TransferenceError
 from .metrics import bleu, evaluate_corpus, ter
 from .model import Checkpoint, Vocab
-from .pipeline import (lm_train, load_pipeline_config, read_tokens,
-                       run_pipeline, score_corpus, select_split, source_batch,
-                       train_model, write_pairs)
+from .pipeline import (lm_train, load_pipeline_config, read_pairs,
+                       read_tokens, run_pipeline, score_corpus, select_split,
+                       source_batch, train_model, write_pairs)
 from .search import translate_batch_nbest
 from .training import average_checkpoints
 
@@ -41,10 +41,8 @@ def _cmd_tokenize(args) -> None:
 
 
 def _cmd_clean(args) -> None:
-    raw = C.load_parallel(args.source, args.target)
-    pairs = [C.SentencePair(tuple(s.split()), tuple(t.split()), i)
-             for i, (s, t) in enumerate(raw)]
-    kept, dropped = C.clean_corpus(pairs, args.min_tokens, args.max_tokens,
+    kept, dropped = C.clean_corpus(read_pairs(args.source, args.target),
+                                   args.min_tokens, args.max_tokens,
                                    args.max_ratio)
     write_pairs(kept, args.out_source, args.out_target)
     print(json.dumps({"kept": len(kept), "dropped": dropped}, sort_keys=True))
@@ -109,12 +107,12 @@ def _run_training(args, phase: str) -> None:
     if args.epochs is not None:
         key = "train_generic" if phase == "generic" else "train_finetune"
         setattr(cfg, key, replace(getattr(cfg, key), epochs=args.epochs))
-    files = (args.source_words, args.source_bpe, args.target_bpe)
+    files = (args.source_bpe, args.target_bpe)
     result = train_model(
         cfg, args.word_vocab, args.bpe_vocab,
         files if phase == "generic" else None,
         files if phase == "finetune" else None,
-        (args.val_source_words, args.val_source_bpe, args.val_target_bpe),
+        (args.val_source_bpe, args.val_target_bpe),
         args.ckpt_dir, log_path=args.log, init=args.init, verbose=args.verbose)
     print(f"averaged checkpoint: {args.ckpt_dir}/averaged.tfrx "
           f"({len(result.epoch_records)} epochs)")
@@ -135,18 +133,15 @@ def _cmd_translate(args) -> None:
             raise ConfigError("--preprocess needs --truecase-model and --bpe-merges")
         truecase = C.TruecaseModel.load(args.truecase_model)
         merges = BpeModel.load(args.bpe_merges)
-        word_lines = []
         sub_lines = []
         for line in C.read_lines(args.input):
             tokens = C.truecase_apply(
                 truecase, C.tokenize(C.normalize_punctuation(line)))
-            word_lines.append(tokens)
             sub_lines.append(apply_bpe(merges, tokens))
     else:
         sub_lines = read_tokens(args.input)
-        word_lines = [decode_bpe(toks) for toks in sub_lines]
 
-    batch = source_batch(word_vocab, bpe_vocab, word_lines, sub_lines)
+    batch = source_batch(word_vocab, bpe_vocab, sub_lines)
     pools = translate_batch_nbest(checkpoint, batch, beam=args.beam,
                                   max_len=args.max_len, length_alpha=args.alpha)
     out_lines = []
@@ -289,10 +284,8 @@ def build_parser() -> _Parser:
         p = sub_parser(name, lambda a, _phase=phase: _run_training(a, _phase),
                        help=f"{phase} training phase")
         p.add_argument("--config", help="INI file with [model]/[train]/[finetune]")
-        p.add_argument("--source-words", required=True)
         p.add_argument("--source-bpe", required=True)
         p.add_argument("--target-bpe", required=True)
-        p.add_argument("--val-source-words", required=True)
         p.add_argument("--val-source-bpe", required=True)
         p.add_argument("--val-target-bpe", required=True)
         p.add_argument("--word-vocab", required=True)

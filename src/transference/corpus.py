@@ -169,8 +169,15 @@ def postprocess_text(text: str) -> str:
 
 
 def read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    """The lines of a UTF-8 text file; a file that cannot be opened or is
+    not UTF-8 raises DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def write_lines(path: str, lines: list[str]) -> None:
@@ -262,10 +269,18 @@ class TruecaseModel:
 
     @classmethod
     def load(cls, path: str) -> "TruecaseModel":
+        """Read a model written by ``save``; a line that is not
+        ``lower<TAB>form<TAB>count`` raises DataError naming the file and
+        the line."""
         counts: dict[str, Counter] = {}
-        for line in read_lines(path):
-            lower, form, count = line.split("\t")
-            counts.setdefault(lower, Counter())[form] = int(count)
+        for number, line in enumerate(read_lines(path), 1):
+            try:
+                lower, form, count = line.split("\t")
+                counts.setdefault(lower, Counter())[form] = int(count)
+            except ValueError:
+                raise DataError(f"{path} line {number}: expected lower form, "
+                                f"surface form and count separated by tabs, "
+                                f"got {line!r}") from None
         return cls(counts)
 
 

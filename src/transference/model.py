@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .corpus import read_lines
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 from .tensor import MASK_VALUE, Tensor
 from .tensor_io import load_tensors, save_tensors
@@ -43,15 +44,12 @@ class Vocab:
 
     @classmethod
     def from_corpus(cls, sentences: Iterable[Sequence[str]],
-                    max_size: int | None = None, min_count: int = 1) -> "Vocab":
+                    max_size: int | None = None) -> "Vocab":
         counts: Counter[str] = Counter()
         for sent in sentences:
             counts.update(sent)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        tokens = [t for t, c in ranked if c >= min_count]
-        if max_size is not None:
-            tokens = tokens[:max_size]
-        return cls(tokens)
+        ranked = sorted(counts, key=lambda t: (-counts[t], t))
+        return cls(ranked[:max_size])
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         unk = self.stoi["<unk>"]
@@ -67,8 +65,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        return cls([line for line in read_lines(path) if line])
 
 
 @dataclass

@@ -34,7 +34,6 @@ class NGramLM:
                  counts: list[dict[tuple[str, ...], dict[str, int]]]):
         self.order = order
         self.vocab = vocab
-        self.vocab_sorted = tuple(sorted(vocab))
         # counts[k] maps a length-k context tuple to the counts of its
         # continuation tokens.
         self.counts = counts

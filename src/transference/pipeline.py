@@ -25,8 +25,7 @@ from dataclasses import dataclass, field, replace
 from . import corpus as C
 from . import ngram as N
 from .bpe import apply_bpe, decode_bpe, learn_bpe
-from .errors import (AlignmentError, ConfigError, ContractError, DataError,
-                     StageError)
+from .errors import ConfigError, ContractError, DataError, StageError
 from .metrics import EvalReport, evaluate_corpus
 from .model import (Checkpoint, ModelConfig, SourceBatch, Vocab, check_source,
                     init_params, make_source_batch)
@@ -185,13 +184,11 @@ def write_pairs(pairs, src_path: str, trg_path: str) -> None:
     C.write_lines(trg_path, [" ".join(p.target) for p in pairs])
 
 
-def _read_pairs(src_path: str, trg_path: str) -> list[C.SentencePair]:
-    src, trg = read_tokens(src_path), read_tokens(trg_path)
-    if len(src) != len(trg):
-        raise AlignmentError(f"line counts differ: {src_path} has {len(src)}, "
-                             f"{trg_path} has {len(trg)}")
-    return [C.SentencePair(tuple(s), tuple(t), i)
-            for i, (s, t) in enumerate(zip(src, trg))]
+def read_pairs(src_path: str, trg_path: str) -> list[C.SentencePair]:
+    """The token pairs of two aligned files, line by line; files that
+    disagree on line counts raise AlignmentError."""
+    return [C.SentencePair(tuple(s.split()), tuple(t.split()), i)
+            for i, (s, t) in enumerate(C.load_parallel(src_path, trg_path))]
 
 
 def lm_train(corpus_path: str, model_path: str, order: int) -> None:
@@ -203,13 +200,12 @@ def lm_train(corpus_path: str, model_path: str, order: int) -> None:
 def _read_lm(path: str) -> N.NGramLM:
     """An n-gram model written by ``lm_train``; a file that is not one
     raises DataError naming the file and the cause."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lm = N.NGramLM.from_json(fh.read())
-        except KeyError as exc:
-            raise DataError(f"{path}: language model has no {exc} key") from None
-        except (ValueError, TypeError) as exc:   # not JSON, or not this shape
-            raise DataError(f"{path}: not a language model: {exc}") from None
+    try:
+        lm = N.NGramLM.from_json("\n".join(C.read_lines(path)))
+    except KeyError as exc:
+        raise DataError(f"{path}: language model has no {exc} key") from None
+    except (ValueError, TypeError) as exc:   # not JSON, or not this shape
+        raise DataError(f"{path}: not a language model: {exc}") from None
     if len(lm.counts) != lm.order:
         raise DataError(f"{path}: 'counts' has {len(lm.counts)} levels for a "
                         f"model of order {lm.order}")
@@ -222,7 +218,7 @@ def score_corpus(src_path: str, trg_path: str, lm_paths: tuple[str, ...],
     the in-domain and out-of-domain source models, then the target ones."""
     lms = [_read_lm(path) for path in lm_paths]
     N.write_scores_tsv(scores_path, [N.score_pair(pair, *lms) for pair
-                                     in _read_pairs(src_path, trg_path)])
+                                     in read_pairs(src_path, trg_path)])
 
 
 def _read_scores(path: str, pairs: list[C.SentencePair]) -> list[N.ScoredPair]:
@@ -254,45 +250,40 @@ def select_split(scores_path: str, src_path: str, trg_path: str,
     """Rank the pairs by score, best first, and write the
     ``validation``, ``selected`` and ``sorted_all`` splits to the
     (source, target) paths ``out`` gives for each."""
-    scored = _read_scores(scores_path, _read_pairs(src_path, trg_path))
+    scored = _read_scores(scores_path, read_pairs(src_path, trg_path))
     splits = N.rank_and_split(scored, n_validation, n_select)
     for name, subset in zip(("validation", "selected", "sorted_all"), splits):
         write_pairs([s.pair for s in subset], *out[name])
 
 
-def prepare_pairs(word_vocab: Vocab, bpe_vocab: Vocab, words_path: str,
-                  src_bpe_path: str, trg_bpe_path: str) -> list[PreparedPair]:
-    words, subs, tgts = (read_tokens(p) for p in
-                         (words_path, src_bpe_path, trg_bpe_path))
-    if not len(words) == len(subs) == len(tgts):
-        raise AlignmentError(
-            f"training files disagree on line counts: {words_path} has "
-            f"{len(words)}, {src_bpe_path} {len(subs)}, {trg_bpe_path} {len(tgts)}")
-    return [PreparedPair(tuple(word_vocab.encode(w)),
-                         tuple(bpe_vocab.encode(s)),
-                         tuple(bpe_vocab.encode(t)))
-            for w, s, t in zip(words, subs, tgts)]
+def prepare_pairs(word_vocab: Vocab, bpe_vocab: Vocab, src_bpe_path: str,
+                  trg_bpe_path: str) -> list[PreparedPair]:
+    """Training pairs of id tuples; the source words are the ones its
+    subwords spell, as in ``source_batch``."""
+    return [PreparedPair(tuple(word_vocab.encode(decode_bpe(p.source))),
+                         tuple(bpe_vocab.encode(p.source)),
+                         tuple(bpe_vocab.encode(p.target)))
+            for p in read_pairs(src_bpe_path, trg_bpe_path)]
 
 
-def source_batch(word_vocab: Vocab, bpe_vocab: Vocab, words: list[list[str]],
+def source_batch(word_vocab: Vocab, bpe_vocab: Vocab,
                  subs: list[list[str]]) -> SourceBatch:
-    """The two encoders' input: each sentence as words and as subwords."""
-    if len(words) != len(subs):
-        raise AlignmentError(f"{len(words)} word rows but {len(subs)} subword rows")
-    return make_source_batch([word_vocab.encode(w) for w in words],
+    """The two encoders' input: each segmented sentence as the words it
+    spells (the segmentation undone) and as its subwords."""
+    return make_source_batch([word_vocab.encode(decode_bpe(s)) for s in subs],
                              [bpe_vocab.encode(s) for s in subs])
 
 
 def train_model(cfg: PipelineConfig, word_vocab_path: str, bpe_vocab_path: str,
-                generic: tuple[str, str, str] | None,
-                finetune: tuple[str, str, str] | None,
-                validation: tuple[str, str, str], ckpt_dir: str,
+                generic: tuple[str, str] | None,
+                finetune: tuple[str, str] | None,
+                validation: tuple[str, str], ckpt_dir: str,
                 log_path: str | None = None, init: str | None = None,
                 verbose: bool = False) -> TrainResult:
     """The generic phase, then fine-tuning, from the ``init`` checkpoint
     or from ``cfg.model`` initialized with ``cfg.seed``.  Each phase's
-    data is a (source words, source BPE, target BPE) triple of paths; a
-    phase given None runs no epochs."""
+    data is a (source BPE, target BPE) pair of paths; a phase given None
+    runs no epochs."""
     word_vocab = Vocab.load(word_vocab_path)
     bpe_vocab = Vocab.load(bpe_vocab_path)
     if init:
@@ -523,7 +514,6 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
     def indomain_batch() -> SourceBatch:
         return source_batch(Vocab.load(paths["word_vocab"]),
                             Vocab.load(paths["bpe_vocab"]),
-                            read_tokens(paths["dev_src"] + ".tc"),
                             read_tokens(bpe_paths["indomain.src"]))
 
     try:
@@ -532,9 +522,8 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         raise StageError("translate", exc) from exc
 
     # -- train: generic phase then fine-tuning, then averaging ---------
-    def train_files(split: str) -> tuple[str, str, str]:
-        return (splits[split][0], bpe_paths[f"{split}.src"],
-                bpe_paths[f"{split}.trg"])
+    def train_files(split: str) -> tuple[str, str]:
+        return bpe_paths[f"{split}.src"], bpe_paths[f"{split}.trg"]
 
     train_inputs = [paths["word_vocab"], paths["bpe_vocab"]] + [
         path for split in ("sorted_all", "selected", "validation")
@@ -565,7 +554,7 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
 
     stages.run("translate",
                [paths["averaged"], paths["word_vocab"], paths["bpe_vocab"],
-                paths["dev_src"] + ".tc", bpe_paths["indomain.src"]],
+                bpe_paths["indomain.src"]],
                {"beam": cfg.beam, "max_len": cfg.decode_max_len,
                 "length_alpha": cfg.length_alpha},
                [paths["hyp_bpe"]], stage_translate)

@@ -8,8 +8,10 @@ import pytest
 
 from transference.cli import main
 from transference.corpus import read_lines, write_lines
-from transference.model import Checkpoint, ModelConfig, Vocab, init_params
+from transference.model import (UNK_ID, Checkpoint, ModelConfig, Vocab,
+                                init_params)
 from transference.ngram import NGramLM
+from transference.pipeline import prepare_pairs, source_batch
 
 from conftest import write_pipeline_ini, write_world
 
@@ -360,6 +362,65 @@ class TestModelFileErrors:
         assert str(bad) in err and cause in err
         assert not scores.exists()
 
+    @pytest.mark.parametrize("row", ["praha\tPraha", "praha\tPraha\tmany"],
+                             ids=["two_fields", "count_not_int"])
+    def test_malformed_truecase_model_is_2(self, tmp_path, capsys, row):
+        model = tmp_path / "tc.tsv"
+        write_lines(str(model), ["a\tA\t2", row])
+        inp = tmp_path / "in.txt"
+        write_lines(str(inp), ["praha je"])
+        out = tmp_path / "out.txt"
+        assert run_cli("truecase", "--input", str(inp), "--model", str(model),
+                       "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{model} line 2" in err and repr(row) in err
+        assert not out.exists()
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize("command, flags", [
+        ("normalize", ["--input", "{missing}", "--output", "{out}"]),
+        ("bpe-apply", ["--merges", "{missing}", "--input", "{out}",
+                       "--output", "{out}.bpe"]),
+        ("score", ["--source", "{out}", "--target", "{out}",
+                   "--lm-in-source", "{missing}", "--lm-out-source", "{missing}",
+                   "--lm-in-target", "{missing}", "--lm-out-target", "{missing}",
+                   "--output", "{out}.tsv"]),
+    ], ids=["normalize", "bpe-apply-merges", "score-lm"])
+    def test_missing_input_is_2_and_named(self, tmp_path, capsys, command,
+                                          flags):
+        missing = tmp_path / "absent.txt"
+        out = tmp_path / "out.txt"
+        write_lines(str(out), ["a b"])
+        assert run_cli(command, *(f.format(missing=missing, out=out)
+                                  for f in flags)) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "No such file" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("tokenize", ["--input", "{bad}", "--output", "{out}"]),
+        ("bpe-learn", ["--inputs", "{bad}", "--output", "{out}"]),
+    ], ids=["tokenize", "bpe-learn"])
+    def test_non_utf8_input_is_2_and_named(self, tmp_path, capsys, command,
+                                           flags):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"ahoj \xff svete\n")
+        out = tmp_path / "out.txt"
+        assert run_cli(command, *(f.format(bad=bad, out=out)
+                                  for f in flags)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err
+        assert not out.exists()
+
+    def test_stage_names_an_unreadable_input(self, toy_files, tmp_path, capsys):
+        with open(toy_files["general_source"], "ab") as fh:
+            fh.write(b"\xff\n")
+        ini = write_pipeline_ini(tmp_path / "p.ini", toy_files,
+                                 str(tmp_path / "work"))
+        assert run_cli("pipeline", "--config", ini) == 2
+        err = capsys.readouterr().err
+        assert "stage 'clean'" in err and toy_files["general_source"] in err
+
 
 class TestTrainingCommands:
     """CLI ``train`` / ``finetune`` on the pipeline's own artifacts."""
@@ -375,8 +436,7 @@ class TestTrainingCommands:
 
     @staticmethod
     def data_flags(work, split, prefix=""):
-        return [f"--{prefix}source-words", os.path.join(work, "select", f"{split}.src"),
-                f"--{prefix}source-bpe", os.path.join(work, "bpe", f"{split}.src.bpe"),
+        return [f"--{prefix}source-bpe", os.path.join(work, "bpe", f"{split}.src.bpe"),
                 f"--{prefix}target-bpe", os.path.join(work, "bpe", f"{split}.trg.bpe")]
 
     def common(self, work, split):
@@ -409,6 +469,54 @@ class TestTrainingCommands:
         start = Checkpoint.load(init)
         assert tuned.step > start.step
         assert sorted(p.name for p in ckpt.glob("epoch_*.tfrx")) == ["epoch_1.tfrx"]
+
+    def test_word_ids_are_the_word_files(self, pipeline_work):
+        # the first encoder's words, derived from the segmented source,
+        # are the truecased tokens the segmentation was made from
+        work = pipeline_work[0] / "work"
+        word_vocab = Vocab.load(str(work / "bpe" / "word.vocab"))
+        bpe_vocab = Vocab.load(str(work / "bpe" / "bpe.vocab"))
+
+        def encoded(path):
+            return [word_vocab.encode(line.split()) for line in read_lines(str(path))]
+
+        for split in ("sorted_all", "selected", "validation"):
+            pairs = prepare_pairs(word_vocab, bpe_vocab,
+                                  str(work / "bpe" / f"{split}.src.bpe"),
+                                  str(work / "bpe" / f"{split}.trg.bpe"))
+            want = encoded(work / "select" / f"{split}.src")
+            assert [list(p.word_ids) for p in pairs] == want, split
+            assert all(UNK_ID not in ids for ids in want)
+        subs = [line.split() for line
+                in read_lines(str(work / "bpe" / "indomain.src.bpe"))]
+        batch = source_batch(word_vocab, bpe_vocab, subs)
+        assert ([row[~pad].tolist() for row, pad in zip(batch.f_w, batch.f_w_pad)]
+                == encoded(work / "corpus" / "indomain.src.tc"))
+
+    def test_misaligned_training_files_are_2(self, pipeline_work, tmp_path,
+                                             capsys):
+        root, ini = pipeline_work
+        work = str(root / "work")
+        src = tmp_path / "s.bpe"
+        trg = tmp_path / "t.bpe"
+        write_lines(str(src), ["sa</w> .</w>", "sb</w> .</w>", "sc</w> .</w>"])
+        write_lines(str(trg), ["ta</w> .</w>", "tb</w> .</w>"])
+        common = self.common(work, "sorted_all")
+        common[1], common[3] = str(src), str(trg)   # --source-bpe, --target-bpe
+        ckpt = tmp_path / "ckpt"
+        assert run_cli("train", "--config", ini, *common,
+                       "--ckpt-dir", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert "line counts differ" in err and str(src) in err and str(trg) in err
+        assert not (ckpt / "averaged.tfrx").exists()
+
+    def test_source_words_flag_is_gone(self, pipeline_work, tmp_path, capsys):
+        root, ini = pipeline_work
+        work = str(root / "work")
+        assert run_cli("train", "--config", ini, *self.common(work, "selected"),
+                       "--source-words", os.path.join(work, "select", "selected.src"),
+                       "--ckpt-dir", str(tmp_path / "ckpt")) == 1
+        assert "--source-words" in capsys.readouterr().err
 
     def test_finetune_without_init_is_1(self, pipeline_work, tmp_path, capsys):
         root, ini = pipeline_work
