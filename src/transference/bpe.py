@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import read_lines
+from .corpus import read_lines, write_lines
 from .errors import DataError
 
 END_OF_WORD = "</w>"
@@ -54,10 +54,7 @@ class BpeModel:
         return result
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(MERGE_FILE_HEADER + "\n")
-            for a, b in self.merges:
-                fh.write(f"{a} {b}\n")
+        write_lines(path, [MERGE_FILE_HEADER] + [f"{a} {b}" for a, b in self.merges])
 
     @classmethod
     def load(cls, path: str) -> "BpeModel":

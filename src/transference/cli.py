@@ -170,8 +170,7 @@ def _cmd_evaluate(args) -> None:
         print(f"BLEU {report.bleu:.1f}")
         print(f"TER {report.ter:.1f}")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
+            C.write_text(args.json, [report.to_json()])
         else:
             print(report.to_json())
 

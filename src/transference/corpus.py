@@ -11,6 +11,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import AlignmentError, DataError
 
@@ -180,10 +181,19 @@ def read_lines(path: str) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenation of ``chunks`` as a UTF-8 file; a file that
+    cannot be created (a missing directory, no permission) raises
+    DataError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror}") from None
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    write_text(path, (line + "\n" for line in lines))
 
 
 def load_parallel(src_path: str, trg_path: str) -> list[tuple[str, str]]:

@@ -88,44 +88,72 @@ def _bleu_details(hypotheses: list[str], references: list[str],
     return bp * math.exp(log_mean) * 100.0, precisions, bp
 
 
-def _levenshtein(a: list[str], b: list[str]) -> int:
-    """Word-level edit distance with unit insert/delete/substitute costs.
+class _Pattern:
+    """A fixed token sequence to measure word-level edit distances
+    against, bit-parallel (Myers 1999, in Hyyro's 2003 form for the global
+    distance).  A column state (pv, mv, dist) after j text tokens holds
+    the vertical deltas of column j, whose bit i says whether
+    D[i+1][j] - D[i][j] is +1 (``pv``) or -1 (``mv``), and ``dist``, the
+    last row's value; one more text token costs a few integer operations
+    whatever the pattern's length."""
 
-    Bit-parallel (Myers 1999, in Hyyro's 2003 form for the global
-    distance): bit i of the vertical deltas ``pv``/``mv`` says whether
-    D[i+1][j] - D[i][j] is +1/-1 in the current column j, so one column
-    of the dynamic-programming table costs a few integer operations
-    whatever the length of ``a``; ``dist`` follows the last row."""
+    def __init__(self, tokens: list[str]):
+        self.match: dict[str, int] = {}    # token -> bit set of its positions
+        for i, tok in enumerate(tokens):
+            self.match[tok] = self.match.get(tok, 0) | (1 << i)
+        self.n = len(tokens)
+        self.mask = (1 << self.n) - 1
+        self.start = (self.mask, 0, self.n)
+
+    def floor(self, state: tuple[int, int, int], column: int, left: int) -> int:
+        """A lower bound on the distance of a text whose first ``column``
+        tokens gave ``state`` and ``left`` tokens follow: the cell of
+        column ``column`` on the diagonal that ends in the last cell.
+        Adjacent cells of a column differ by at most one, and the
+        ``left`` tokens cost at least the difference in remaining
+        lengths, so no path through the column does better."""
+        row = self.n - left
+        if row <= 0:
+            return 0
+        low = (1 << row) - 1
+        pv, mv, _ = state
+        return column + (pv & low).bit_count() - (mv & low).bit_count()
+
+    def run(self, state: tuple[int, int, int], column: int, text: list[str],
+            limit: float = math.inf) -> tuple[int, int, int] | None:
+        """The column state once ``text``, the end of a text, follows the
+        ``column`` tokens that gave ``state``; None as soon as ``floor``
+        reaches ``limit``, for then the distance cannot be below it."""
+        match, mask, last = self.match, self.mask, self.n - 1
+        pv, mv, dist = state
+        row = self.n - len(text)            # the diagonal's row in this column
+        low = (1 << row) - 1 if row > 0 else 0
+        for tok in text:
+            eq = match.get(tok, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (~(xh | pv) & mask)
+            mh = pv & xh
+            dist += (ph >> last & 1) - (mh >> last & 1)
+            ph = ((ph << 1) | 1) & mask   # row 0 rises by one per column
+            mh = (mh << 1) & mask
+            pv = mh | (~(xv | ph) & mask)
+            mv = ph & xv
+            column += 1
+            row += 1
+            if row > 0:                   # floor() of the new column
+                low = (low << 1) | 1
+                if column + (pv & low).bit_count() - (mv & low).bit_count() >= limit:
+                    return None
+        return pv, mv, dist
+
+
+def _levenshtein(a: list[str], b: list[str]) -> int:
+    """Word-level edit distance with unit insert/delete/substitute costs."""
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    match: dict[str, int] = {}       # token -> bit set of its positions in a
-    for i, tok in enumerate(a):
-        match[tok] = match.get(tok, 0) | (1 << i)
-    mask = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, dist = mask, 0, len(a)
-    for tok in b:
-        eq = match.get(tok, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = ((ph << 1) | 1) & mask   # row 0 rises by one per column
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    return dist
-
-
-def _is_sublist(span: list[str], seq: list[str]) -> bool:
-    n = len(span)
-    return any(seq[i:i + n] == span for i in range(len(seq) - n + 1))
+    pattern = _Pattern(a)
+    return pattern.run(pattern.start, 0, b)[2]
 
 
 def _sentence_edits(hyp: list[str], ref: list[str], max_shifts: int = 50,
@@ -137,32 +165,54 @@ def _sentence_edits(hyp: list[str], ref: list[str], max_shifts: int = 50,
     position.  Each round applies the shift that most reduces the edit
     distance, ties resolved leftmost-start, then shortest span, then
     smallest destination; rounds stop when no shift strictly reduces the
-    distance."""
+    distance.
+
+    Candidates are visited in that tie-break order, so a candidate
+    matters only if its distance is below the best so far (at first, the
+    current distance).  The distance is symmetric, so the reference is
+    the pattern of every distance; a candidate resumes from the column
+    state of the prefix it shares with the current hypothesis or with the
+    previous destination, and stops once ``_Pattern.floor`` reaches that
+    limit."""
     current = list(hyp)
+    if not ref:
+        return len(current)
+    pattern = _Pattern(ref)
+    ref_spans = {tuple(ref[i:i + n]) for n in range(1, max_span + 1)
+                 for i in range(len(ref) - n + 1)}
     base = _levenshtein(current, ref)
     shifts = 0
     while shifts < max_shifts and base > 0 and len(current) > 1:
-        best = None  # (-reduction, start, span_len, dest, shifted, new_dist)
-        for start in range(len(current)):
-            for span_len in range(1, min(max_span, len(current) - start) + 1):
+        length = len(current)
+        prefix = [pattern.start]        # column state after current[:j]
+        for j, tok in enumerate(current):
+            prefix.append(pattern.run(prefix[-1], j, [tok]))
+        best, limit = None, base
+        for start in range(length):
+            for span_len in range(1, min(max_span, length - start) + 1):
                 span = current[start:start + span_len]
-                if not _is_sublist(span, ref):
+                if tuple(span) not in ref_spans:
                     continue
                 rest = current[:start] + current[start + span_len:]
+                # the shifted text is rest[:dest] + span + rest[dest:]; the
+                # floors of rest[:dest] rise with dest, so the first one at
+                # the limit ends the destinations
                 for dest in range(len(rest) + 1):
+                    if dest <= start:
+                        state = prefix[dest]
+                    else:
+                        state = pattern.run(state, dest - 1, rest[dest - 1:dest])
+                    if pattern.floor(state, dest, length - dest) >= limit:
+                        break
                     if dest == start:
                         continue
-                    shifted = rest[:dest] + span + rest[dest:]
-                    if shifted == current:
-                        continue
-                    dist = _levenshtein(shifted, ref)
-                    key = (-(base - dist), start, span_len, dest)
-                    if best is None or key < best[0]:
-                        best = (key, shifted, dist)
-        if best is None or -best[0][0] < 1:
+                    tail = span + rest[dest:]
+                    found = pattern.run(state, dest, tail, limit)
+                    if found is not None:
+                        best, limit = rest[:dest] + tail, found[2]
+        if best is None:
             break
-        current = best[1]
-        base = best[2]
+        current, base = best, limit
         shifts += 1
     return shifts + base
 

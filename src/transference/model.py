@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .corpus import read_lines
+from .corpus import read_lines, write_lines
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 from .tensor import MASK_VALUE, Tensor
 from .tensor_io import load_tensors, save_tensors
@@ -59,9 +59,7 @@ class Vocab:
         return [self.itos[i] for i in ids]
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for tok in self.itos[len(SPECIALS):]:
-                fh.write(tok + "\n")
+        write_lines(path, self.itos[len(SPECIALS):])
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
@@ -285,13 +283,14 @@ def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 
 def _embed(table: Tensor, ids: np.ndarray, cfg: ModelConfig,
-           training: bool, rng, start: int = 0) -> Tensor:
-    """Scaled embeddings of ``ids`` plus the positional encoding of
-    positions start, start + 1, ..."""
+           training: bool, rng, positions: np.ndarray | None = None) -> Tensor:
+    """Scaled embeddings of ``ids`` plus ``positions``, by default the
+    positional encoding of positions 0, 1, ..."""
     x = T.scale(T.embedding(table, ids), math.sqrt(cfg.d_model))
-    pe = positional_encoding(start + ids.shape[-1], cfg.d_model,
-                             cfg.max_positions + 1, dtype=table.data.dtype)
-    x = T.add(x, T.constant(pe[start:]))
+    if positions is None:
+        positions = positional_encoding(ids.shape[-1], cfg.d_model,
+                                        cfg.max_positions + 1, dtype=table.data.dtype)
+    x = T.add(x, T.constant(positions))
     return T.dropout(x, cfg.dropout, training, rng)
 
 
@@ -358,8 +357,10 @@ class DecoderCache:
 
     Per decoder layer it holds the self-attention keys and values of
     every position decoded so far, in arrays [rows, heads, capacity, d_k]
-    allocated once, and the cross-attention keys and values of the bridge
-    output, projected on first use.  ``ids`` records the decoded token ids.
+    allocated once.  ``ids`` records the decoded token ids.  On first use
+    it takes what stays fixed while decoding: the cross-attention keys and
+    values of the bridge output, the cross-attention padding mask, the
+    positional table and the causal mask, which each step slices.
     Consecutive groups of rows decode the same source sentence: with n
     sources, row r reads source r // (rows // n).
     """
@@ -371,6 +372,9 @@ class DecoderCache:
         self.keys = [np.empty(shape, dtype) for _ in range(config.n_layers_dec)]
         self.values = [np.empty(shape, dtype) for _ in range(config.n_layers_dec)]
         self.cross: list[tuple[Tensor, Tensor]] | None = None
+        self.cross_mask: np.ndarray | None = None
+        self.positions: np.ndarray | None = None
+        self.causal: np.ndarray | None = None
         self.length = 0
 
     @property
@@ -386,8 +390,8 @@ class DecoderCache:
             arr[:, :, :n] = arr[parents, :, :n]
 
     def copy(self) -> "DecoderCache":
-        """An independent copy; the read-only cross-attention projections
-        are shared."""
+        """An independent copy; the read-only cross-attention projections,
+        masks and positional table are shared."""
         twin = copy.copy(self)
         twin.ids = self.ids.copy()
         twin.keys = [a.copy() for a in self.keys]
@@ -402,6 +406,19 @@ def _cross_kv(memory: Tensor, params: dict[str, Tensor], prefix: str,
     return tuple(
         _split_heads(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"]), heads)
         for w in ("wk", "wv"))
+
+
+def _prime(cache: DecoderCache, config: ModelConfig, params: dict[str, Tensor],
+           encoded: EncodedSource, dtype) -> None:
+    """Fill in ``cache``'s fixed parts for decoding against ``encoded``."""
+    cache.cross = [_cross_kv(encoded.enc12_out, params, f"decoder/layer_{i}",
+                             config.heads)
+                   for i in range(config.n_layers_dec)]
+    cache.cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
+    length = min(cache.ids.shape[1], config.max_positions + 1)
+    cache.positions = positional_encoding(length, config.d_model,
+                                          config.max_positions + 1, dtype=dtype)
+    cache.causal = causal_attention_mask(length, dtype)
 
 
 def _append_kv(store: np.ndarray, y: Tensor, weight: Tensor,
@@ -441,7 +458,11 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
         raise ContractError("target ids exceed the BPE vocabulary")
     dtype = params["embed/bpe"].data.dtype
     memory = encoded.enc12_out
-    if cache is not None:
+    if cache is None:
+        ids_so_far, positions = ids, None
+        causal = causal_attention_mask(end, dtype)
+        cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
+    else:
         if ids.shape[0] != cache.rows or cache.rows % memory.shape[0]:
             raise ContractError(
                 f"{ids.shape[0]} target rows for a cache of {cache.rows} rows "
@@ -449,22 +470,18 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
         if end > cache.ids.shape[1]:
             raise ContractError(
                 f"target length {end} exceeds the cache's {cache.ids.shape[1]} positions")
+        if cache.cross is None:
+            _prime(cache, config, params, encoded, dtype)
         cache.ids[:, start:end] = ids
-        ids_so_far = cache.ids[:, :end]
-    else:
-        ids_so_far = ids
-    mask = causal_attention_mask(end, dtype)[:, :, start:] + padding_attention_mask(
-        (ids_so_far == PAD_ID), dtype)
-    cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
+        ids_so_far, positions = cache.ids[:, :end], cache.positions[start:end]
+        causal = cache.causal[:, :, start:end, :end]
+        cross_mask = cache.cross_mask
+    mask = causal + padding_attention_mask(ids_so_far == PAD_ID, dtype)
 
-    y = _embed(params["embed/bpe"], ids, config, training, rng, start)
+    y = _embed(params["embed/bpe"], ids, config, training, rng, positions)
     if cache is not None:
         rows_shape = y.shape
         y = T.reshape(y, (-1, config.d_model))
-        if cache.cross is None:
-            cache.cross = [
-                _cross_kv(memory, params, f"decoder/layer_{i}", config.heads)
-                for i in range(config.n_layers_dec)]
     for i in range(config.n_layers_dec):
         prefix = f"decoder/layer_{i}"
         self_params = _attn_params(params, f"{prefix}/self_attn")

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import SentencePair
+from .corpus import SentencePair, write_lines
 from .errors import ConfigError, ContractError, DataError
 
 BOS = "<s>"
@@ -181,7 +181,6 @@ def rank_and_split(scored: list[ScoredPair], n_val: int = 1000,
 def write_scores_tsv(path: str, scored: list[ScoredPair]) -> None:
     """TSV of (original_index, score, h_src_in, h_src_out, h_trg_in,
     h_trg_out) at fixed 6-decimal precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in scored:
-            fh.write(f"{s.pair.original_index}\t{s.score:.6f}\t{s.h_src_in:.6f}"
-                     f"\t{s.h_src_out:.6f}\t{s.h_trg_in:.6f}\t{s.h_trg_out:.6f}\n")
+    write_lines(path, [f"{s.pair.original_index}\t{s.score:.6f}\t{s.h_src_in:.6f}"
+                       f"\t{s.h_src_out:.6f}\t{s.h_trg_in:.6f}\t{s.h_trg_out:.6f}"
+                       for s in scored])

@@ -193,8 +193,7 @@ def read_pairs(src_path: str, trg_path: str) -> list[C.SentencePair]:
 
 def lm_train(corpus_path: str, model_path: str, order: int) -> None:
     lm = N.train_lm(read_tokens(corpus_path), order=order)
-    with open(model_path, "w", encoding="utf-8") as fh:
-        fh.write(lm.to_json())
+    C.write_text(model_path, [lm.to_json()])
 
 
 def _read_lm(path: str) -> N.NGramLM:

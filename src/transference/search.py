@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .model import (BOS_ID, Checkpoint, DecoderCache, EOS_ID, EncodedSource,
                     PAD_ID, SourceBatch, check_source, decode_forward, encode)
 
@@ -48,25 +48,40 @@ class Hypothesis:
 
 def _top_tokens(logprobs: np.ndarray, k: int) -> np.ndarray:
     """[rows, k]: each row's k largest entries, best first and ties to the
-    lower id, as ``argsort(-logprobs, kind="stable")[:, :k]`` but sorting
-    only the entries at or above each row's k-th largest value."""
-    kth = np.partition(logprobs, -k, axis=1)[:, -k]
-    row, token = np.nonzero(logprobs >= kth[:, None])
-    order = np.lexsort((token, -logprobs[row, token], row))
-    row, token = row[order], token[order]
-    rank = np.arange(len(row)) - np.searchsorted(row, row)
-    return token[rank < k].reshape(-1, k)
+    lower id, exactly ``argsort(-logprobs, kind="stable")[:, :k]``.
+
+    It takes k ``argmax`` passes over a working copy; each takes the
+    first largest entry of every row and masks it with -inf.  A row whose
+    last pass finds -inf has fewer than k entries above -inf, and is
+    sorted in full instead.  ``argmax`` ranks NaN first, so a row holding
+    NaN shows in the first pass and raises ``NumericError``."""
+    rows = np.arange(len(logprobs))
+    work = logprobs.copy()
+    top = np.empty((len(work), k), dtype=np.intp)
+    for j in range(k):
+        top[:, j] = work.argmax(axis=1)
+        found = work[rows, top[:, j]]
+        if j == 0 and np.isnan(found).any():
+            raise NumericError(
+                f"next-token log-probabilities contain NaN in "
+                f"{int(np.isnan(found).sum())} of {len(rows)} rows")
+        work[rows, top[:, j]] = -np.inf
+    short = np.flatnonzero(found == -np.inf)
+    if short.size:
+        top[short] = np.argsort(-logprobs[short], axis=1, kind="stable")[:, :k]
+    return top
 
 
-def _expand(scores: np.ndarray, logprobs: np.ndarray, group: np.ndarray,
+def _expand(scores: np.ndarray, logprobs: np.ndarray, groups: int,
             beam: int, eos_id: int):
     """One beam step.  Row r extends a hypothesis of score ``scores[r]``
-    by next-token log-probabilities ``logprobs[r]``; ``group``
-    (non-decreasing) names each row's sentence, whose rows come in
+    by next-token log-probabilities ``logprobs[r]``.  The rows form
+    ``groups`` sentences of equally many consecutive rows, each in
     hypothesis order.  The rules:
 
     - each row proposes its top ``beam + 1`` tokens (``_top_tokens``);
-    - a sentence's candidates are ordered by (-score, row, token);
+    - a sentence's candidates are ordered by (-score, row, token), as a
+      stable sort by -score of its candidates laid out by row, then token;
     - EOS candidates finish and take no beam slot, the first ``beam``
       others stay live, and candidates scoring -inf are dropped.
 
@@ -74,18 +89,16 @@ def _expand(scores: np.ndarray, logprobs: np.ndarray, group: np.ndarray,
     candidates in that order; rank is the live slot within the sentence,
     -1 for a finished one."""
     k = min(beam + 1, logprobs.shape[1])
-    row = np.repeat(np.arange(len(scores)), k)
-    token = _top_tokens(logprobs, k).ravel()
-    score = scores[row] + logprobs[row, token]
-    keep = score > -np.inf
-    row, token, score = row[keep], token[keep], score[keep]
-    order = np.lexsort((token, row, -score, group[row]))
-    row, token, score = row[order], token[order], score[order]
-    rank = np.full(len(row), -1)
-    stay = np.flatnonzero(token != eos_id)
-    stay_group = group[row[stay]]
-    rank[stay] = np.arange(len(stay)) - np.searchsorted(stay_group, stay_group)
-    keep = rank < beam
+    token = np.sort(_top_tokens(logprobs, k), axis=1)
+    score = scores[:, None] + np.take_along_axis(logprobs, token, axis=1)
+    width = score.size // groups            # candidates per sentence
+    order = np.argsort(-score.reshape(groups, width), axis=1, kind="stable")
+    order = (order + np.arange(groups)[:, None] * width).ravel()
+    row, token, score = order // k, token.ravel()[order], score.ravel()[order]
+    finite = score > -np.inf
+    stay = finite & (token != eos_id)
+    rank = np.where(stay, np.cumsum(stay.reshape(groups, width), axis=1).ravel() - 1, -1)
+    keep = finite & (rank < beam)
     return row[keep], token[keep], score[keep], rank[keep]
 
 
@@ -108,7 +121,7 @@ def beam_search_nbest(stepper, beam: int = 4, max_len: int = 256,
         scores = np.array([logprob for _, logprob, _ in live])
         parents, live = live, []
         for r, t, s, rank in zip(*(a.tolist() for a in _expand(
-                scores, logprobs, np.zeros(len(scores), int), beam, eos_id))):
+                scores, logprobs, 1, beam, eos_id))):
             tokens, _, state = parents[r]
             if rank < 0:
                 finished.append(Hypothesis(tokens + (t,), s, True))
@@ -132,7 +145,8 @@ def beam_search(stepper, beam: int = 4, max_len: int = 256,
 
 def _stable_log_softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 class _DecoderState(NamedTuple):
@@ -186,7 +200,6 @@ def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,
     encoded = encode(cfg, params, source, training=False)
     n = source.f_s.shape[0]
     rows = n * beam
-    group = np.arange(rows) // beam
     cache = DecoderCache(cfg, rows, max_len + 1, encoded.enc12_out.dtype)
     scores = np.where(np.arange(rows) % beam == 0, 0.0, -np.inf)
     tokens = np.full(rows, BOS_ID)
@@ -196,7 +209,7 @@ def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,
         logprobs = _stable_log_softmax(logits.data[:, -1])
         # <pad> and <s> are never outputs; the rest are not renormalized.
         logprobs[:, [PAD_ID, BOS_ID]] = -np.inf
-        row, token, score, rank = _expand(scores, logprobs, group, beam, EOS_ID)
+        row, token, score, rank = _expand(scores, logprobs, n, beam, EOS_ID)
         live = rank >= 0
         last = step == max_len - 1 or not live.any()
         out = ~live | last
@@ -207,7 +220,7 @@ def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,
             pools[r // beam].append(Hypothesis(tuple(prefix) + (t,), s, done))
         if last:
             break
-        slots = group[row[live]] * beam + rank[live]
+        slots = row[live] // beam * beam + rank[live]
         parents = np.arange(rows)
         parents[slots] = row[live]
         cache.reorder(parents)

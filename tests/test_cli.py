@@ -290,6 +290,25 @@ class TestTranslateNbest:
             assert scores == sorted(scores, reverse=True)
         assert [rows[0][2], rows[3][2]] == read_lines(str(tmp_path / "best.txt"))
 
+    def test_nan_output_layer_is_2_and_named(self, tmp_path, capsys):
+        bpe = Vocab(["a</w>", "b</w>", "c"])
+        words = Vocab(["a", "b"])
+        cfg = ModelConfig(bpe_vocab_size=len(bpe), word_vocab_size=len(words),
+                          n_layers_fw=1, n_layers_fs=1, n_layers_es=1,
+                          n_layers_dec=1, d_model=8, d_ff=16, heads=2,
+                          dropout=0.0, max_positions=6)
+        ckpt = init_params(cfg, seed=3)
+        ckpt.params["output/weight"].data[:] = np.nan
+        ckpt.save(str(tmp_path / "m.tfrx"))
+        bpe.save(str(tmp_path / "bpe.vocab"))
+        words.save(str(tmp_path / "word.vocab"))
+        write_lines(str(tmp_path / "in.bpe"), ["a</w> b</w>"])
+        assert run_cli("translate", "--checkpoint", str(tmp_path / "m.tfrx"),
+                       "--input", str(tmp_path / "in.bpe"),
+                       "--word-vocab", str(tmp_path / "word.vocab"),
+                       "--bpe-vocab", str(tmp_path / "bpe.vocab")) == 2
+        assert "log-probabilities contain NaN" in capsys.readouterr().err
+
 
 class TestSelectErrors:
     @pytest.mark.parametrize("row, cause", [
@@ -420,6 +439,33 @@ class TestInputFileErrors:
         assert run_cli("pipeline", "--config", ini) == 2
         err = capsys.readouterr().err
         assert "stage 'clean'" in err and toy_files["general_source"] in err
+
+
+class TestOutputFileErrors:
+    @pytest.mark.parametrize("command, flags", [
+        ("normalize", ["--input", "{inp}", "--output", "{out}"]),
+        ("truecase-train", ["--input", "{inp}", "--model", "{out}"]),
+        ("bpe-learn", ["--inputs", "{inp}", "--vocab-size", "30",
+                       "--output", "{out}"]),
+        ("lm-train", ["--input", "{inp}", "--model", "{out}"]),
+        ("score", ["--source", "{inp}", "--target", "{inp}",
+                   "--lm-in-source", "{lm}", "--lm-out-source", "{lm}",
+                   "--lm-in-target", "{lm}", "--lm-out-target", "{lm}",
+                   "--output", "{out}"]),
+        ("evaluate", ["--hyp", "{inp}", "--ref", "{inp}", "--json", "{out}"]),
+    ], ids=["normalize", "truecase-train", "bpe-learn", "lm-train", "score",
+            "evaluate-json"])
+    def test_missing_output_directory_is_2_and_named(self, tmp_path, capsys,
+                                                     command, flags):
+        inp = tmp_path / "in.txt"
+        write_lines(str(inp), ["Praha je hezka", "a b a b"])
+        lm = tmp_path / "in.lm"
+        assert run_cli("lm-train", "--input", str(inp), "--model", str(lm)) == 0
+        out = tmp_path / "nodir" / "out.txt"
+        assert run_cli(command, *(f.format(inp=inp, lm=lm, out=out)
+                                  for f in flags)) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: cannot write" in err and "No such file" in err
 
 
 class TestTrainingCommands:

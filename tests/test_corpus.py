@@ -6,7 +6,9 @@ import pytest
 
 from transference import corpus as C
 from transference.corpus import SentencePair
+from transference.bpe import BpeModel
 from transference.errors import AlignmentError, DataError
+from transference.model import Vocab
 
 
 def pair(src, trg, idx=0):
@@ -224,3 +226,18 @@ class TestFileIO:
         raw = open(path, "rb").read()
         assert b"\r" not in raw
         assert C.read_lines(path) == lines
+
+    def test_missing_output_directory_is_named(self, tmp_path):
+        path = str(tmp_path / "nodir" / "c.txt")
+        with pytest.raises(DataError, match="nodir/c.txt: cannot write"):
+            C.write_lines(path, ["a"])
+
+    @pytest.mark.parametrize("save", [
+        lambda path: Vocab(["a", "b"]).save(path),
+        lambda path: BpeModel([("a", "b</w>")]).save(path),
+        lambda path: C.truecase_train([["Praha", "je"]]).save(path),
+    ], ids=["vocab", "bpe-merges", "truecase-model"])
+    def test_model_files_name_a_missing_directory(self, tmp_path, save):
+        path = str(tmp_path / "nodir" / "model.txt")
+        with pytest.raises(DataError, match="nodir/model.txt: cannot write"):
+            save(path)

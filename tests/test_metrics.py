@@ -13,6 +13,35 @@ from transference.metrics import (bleu, evaluate_corpus, metric_tokenize,
 from oracles import exhaustive_shift_edits, levenshtein_reference
 
 
+def plain_greedy_shift_edits(hyp, ref, max_span):
+    """The greedy shift search of ``_sentence_edits`` with nothing pruned:
+    every shift of a span of at most ``max_span`` tokens that occurs in
+    the reference is scored by ``levenshtein_reference``, and the best
+    key (-reduction, start, span length, destination) wins a round."""
+    current, shifts = list(hyp), 0
+    base = levenshtein_reference(current, ref)
+    while shifts < 50 and base > 0 and len(current) > 1:
+        best = None
+        for start in range(len(current)):
+            for n in range(1, min(max_span, len(current) - start) + 1):
+                span = current[start:start + n]
+                if not any(ref[i:i + n] == span for i in range(len(ref))):
+                    continue
+                rest = current[:start] + current[start + n:]
+                for dest in range(len(rest) + 1):
+                    shifted = rest[:dest] + span + rest[dest:]
+                    if shifted == current:
+                        continue
+                    dist = levenshtein_reference(shifted, ref)
+                    key = (dist - base, start, n, dest)
+                    if best is None or key < best[0]:
+                        best = (key, shifted, dist)
+        if best is None or best[2] >= base:
+            break
+        current, base, shifts = best[1], best[2], shifts + 1
+    return shifts + base
+
+
 class TestBleu:
     def test_identity_is_100(self):
         corpus = ["Ahoj světe , jak se máš ?", "Dnes je hezky .",
@@ -117,6 +146,25 @@ class TestTer:
                 a = [str(w) for w in rng.choice(list(vocab), size=rng.integers(0, 80))]
                 b = [str(w) for w in rng.choice(list(vocab), size=rng.integers(0, 80))]
                 assert _levenshtein(a, b) == levenshtein_reference(a, b), (a, b)
+
+    def test_shift_search_matches_a_plain_greedy_search(self):
+        # the pruned search against every candidate scored in full, with
+        # the same tie-break order; spans moved within a sentence make
+        # shifts pay off, and max_span 2 bounds the spans
+        rng = np.random.default_rng(3)
+        for vocab in ("abc", "abcdef"):
+            for _ in range(40):
+                ref = [str(w) for w in rng.choice(list(vocab), size=rng.integers(1, 11))]
+                hyp = list(ref)
+                for _ in range(rng.integers(1, 3)):
+                    i, n = int(rng.integers(len(hyp))), int(rng.integers(1, 4))
+                    span, hyp = hyp[i:i + n], hyp[:i] + hyp[i + n:]
+                    j = int(rng.integers(len(hyp) + 1))
+                    hyp = hyp[:j] + span + hyp[j:]
+                hyp[int(rng.integers(len(hyp)))] = str(rng.choice(list(vocab)))
+                for max_span in (10, 2):
+                    assert _sentence_edits(hyp, ref, max_span=max_span) == \
+                        plain_greedy_shift_edits(hyp, ref, max_span), (hyp, ref)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ContractError):

@@ -5,13 +5,13 @@ search against per-sentence search."""
 import numpy as np
 import pytest
 
-from transference.errors import ContractError
+from transference.errors import ContractError, NumericError
 from transference.model import (BOS_ID, EOS_ID, PAD_ID, DecoderCache,
                                 EncodedSource, ModelConfig, SourceBatch,
                                 decode_forward, encode, init_params,
                                 make_source_batch)
-from transference.search import (IncrementalDecoder, beam_search,
-                                 beam_search_nbest, greedy_decode,
+from transference.search import (IncrementalDecoder, _expand, _top_tokens,
+                                 beam_search, beam_search_nbest, greedy_decode,
                                  translate_batch, translate_batch_nbest)
 from transference.tensor import Tensor
 
@@ -330,3 +330,107 @@ class TestLockstepSearch:
         ckpt = init_params(search_config(max_positions=4), seed=11)
         with pytest.raises(ContractError, match=cause):
             translate_batch(ckpt, make_source_batch(words, subs))
+
+
+def tied_logprobs(rng, rows, vocab, dtype):
+    """Rows on a coarse grid, so that many tie at their k-th value, with
+    <pad> and <s> at -inf, one row with 3 entries above -inf, one with
+    none, and one that is all one value."""
+    x = (np.round(rng.normal(size=(rows, vocab)) * 2) / 2 - 3).astype(dtype)
+    x[:, [PAD_ID, BOS_ID]] = -np.inf
+    x[1, 5:] = -np.inf
+    x[2] = -np.inf
+    x[3] = -1.5
+    return x
+
+
+class TestTopTokens:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_a_stable_sort(self, dtype):
+        vocab = 13
+        for seed in range(5):
+            x = tied_logprobs(np.random.default_rng(seed), 17, vocab, dtype)
+            before = x.copy()
+            for k in (1, 2, 4, 5, vocab - 1, vocab):
+                np.testing.assert_array_equal(
+                    _top_tokens(x, k), np.argsort(-x, axis=1, kind="stable")[:, :k])
+            np.testing.assert_array_equal(x, before)
+        x = np.random.default_rng(5).normal(size=(9, 300)).astype(dtype)
+        np.testing.assert_array_equal(
+            _top_tokens(x, 5), np.argsort(-x, axis=1, kind="stable")[:, :5])
+
+    def test_nan_row_raises(self):
+        x = np.zeros((3, 6))
+        x[1, 4] = np.nan
+        with pytest.raises(NumericError, match="NaN in 1 of 3 rows"):
+            _top_tokens(x, 2)
+
+
+def expand_reference(scores, logprobs, groups, beam, eos_id):
+    """``_expand``'s rules by plain sorting: per sentence, every row's top
+    beam + 1 tokens by (-logprob, token), the candidates by (-score, row,
+    token); EOS finishes, the first ``beam`` others stay live, -inf is
+    dropped."""
+    rows, vocab = logprobs.shape
+    per, k = rows // groups, min(beam + 1, vocab)
+    out = []
+    for g in range(groups):
+        cands = []
+        for r in range(g * per, (g + 1) * per):
+            top = sorted(range(vocab), key=lambda t: (-logprobs[r, t], t))[:k]
+            cands += [(float(scores[r] + logprobs[r, t]), r, t) for t in top]
+        live = 0
+        for s, r, t in sorted(cands, key=lambda c: (-c[0], c[1], c[2])):
+            if s == -np.inf:
+                continue
+            if t == eos_id:
+                out.append((r, t, s, -1))
+            elif live < beam:
+                out.append((r, t, s, live))
+                live += 1
+    return out
+
+
+class TestExpand:
+    @pytest.mark.parametrize("beam", [1, 2, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_a_per_sentence_sort(self, beam, dtype):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            groups, vocab = 4, 11
+            rows = groups * beam
+            logprobs = tied_logprobs(rng, rows, vocab, dtype)
+            # a repeated row, equal scores across rows, and rows without a
+            # live hypothesis (-inf)
+            logprobs[beam - 1] = logprobs[0]
+            scores = rng.choice([0.0, -1.0, -2.5, -np.inf], size=rows)
+            scores[0] = 0.0
+            got = list(zip(*(a.tolist() for a in _expand(
+                scores, logprobs, groups, beam, EOS_ID))))
+            assert got == expand_reference(scores, logprobs, groups, beam, EOS_ID)
+
+    def test_rounded_ties_in_a_row_go_to_the_lower_token(self):
+        # 1e17 - 0.25 and 1e17 - 0.5 round to the same score, so row 0's
+        # second-best token (id 4) comes before its best (id 7)
+        logprobs = np.full((2, 9), -9.0)
+        logprobs[0, 7], logprobs[0, 4] = -0.25, -0.5
+        logprobs[1, 3] = -0.75
+        scores = np.array([1e17, 1e17])
+        row, token, score, rank = _expand(scores, logprobs, 1, 3, EOS_ID)
+        assert (row[:3].tolist(), token[:3].tolist()) == ([0, 0, 1], [4, 7, 3])
+        got = list(zip(*(a.tolist() for a in (row, token, score, rank))))
+        assert got == expand_reference(scores, logprobs, 1, 3, EOS_ID)
+
+
+class TestNonFiniteOutput:
+    def test_nan_output_layer_raises(self):
+        ckpt = init_params(search_config(), seed=12)
+        ckpt.params["output/weight"].data[:] = np.nan
+        batch = make_source_batch([[4, 5, 6], [7, 8]], [[4, 5, 6], [7, 8]])
+        with pytest.raises(NumericError, match="log-probabilities contain NaN"):
+            translate_batch(ckpt, batch, beam=3, max_len=6)
+
+    def test_nan_stub_distribution_raises(self):
+        stepper = StubStepper(lambda prefix: np.full(5, np.nan), 5)
+        with pytest.raises(NumericError, match="log-probabilities contain NaN"):
+            beam_search_nbest(stepper, beam=2, max_len=3)
