@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .corpus import read_lines, write_lines
+from .corpus import read_lines, write_lines, write_text
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 from .tensor import MASK_VALUE, Tensor
 from .tensor_io import load_tensors, save_tensors
@@ -139,8 +139,7 @@ class Checkpoint:
         save_tensors(path, {name: t.data for name, t in self.params.items()})
         sidecar = {"config": self.config.to_dict(), "step": self.step}
         base = path[:-len(".tfrx")] if path.endswith(".tfrx") else path
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
+        write_text(base + ".json", [json.dumps(sidecar, indent=2, sort_keys=True)])
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
@@ -294,30 +293,55 @@ def _embed(table: Tensor, ids: np.ndarray, cfg: ModelConfig,
     return T.dropout(x, cfg.dropout, training, rng)
 
 
-def _self_attn_stack(component: str, n_layers: int, x: Tensor,
-                     mask: np.ndarray, params: dict[str, Tensor],
-                     cfg: ModelConfig, training: bool, rng) -> Tensor:
-    for i in range(n_layers):
-        prefix = f"{component}/layer_{i}"
-        attn = multi_head_attention(_attn_params(params, f"{prefix}/self_attn"),
-                                    x, x, x, mask, cfg.heads)
-        x = _sublayer(x, attn, params, f"{prefix}/self_attn_norm", cfg, training, rng)
-        x = _sublayer(x, _ffn(x, params, f"{prefix}/ffn"),
-                      params, f"{prefix}/ffn_norm", cfg, training, rng)
+# Every stack: name -> (ModelConfig layer-count field, cross-attends), in
+# the order ``init_params`` draws their parameters.
+STACKS = {"enc_word": ("n_layers_fw", False),
+          "enc_subword": ("n_layers_fs", False),
+          "enc_cross": ("n_layers_es", True),
+          "decoder": ("n_layers_dec", True)}
+
+
+def _layer_prefixes(config: ModelConfig, stack: str) -> list[str]:
+    """Parameter-name prefix of each layer of ``stack``, bottom first."""
+    return [f"{stack}/layer_{i}" for i in range(getattr(config, STACKS[stack][0]))]
+
+
+def _layer(prefix: str, x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
+           cfg: ModelConfig, training: bool, rng, memory: Tensor | None = None,
+           memory_mask: np.ndarray | None = None,
+           self_kv: tuple[Tensor, Tensor] | None = None,
+           cross_kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """One transformer layer: self-attention, cross-attention into
+    ``memory`` when it is given, then the feed-forward block, each inside
+    residual + layer norm with dropout.  ``self_kv`` and ``cross_kv`` are
+    keys and values already split into heads (``multi_head_attention``)."""
+    attn = multi_head_attention(_attn_params(params, f"{prefix}/self_attn"),
+                                x, x, x, mask, cfg.heads, self_kv)
+    x = _sublayer(x, attn, params, f"{prefix}/self_attn_norm", cfg, training, rng)
+    if memory is not None:
+        cross = multi_head_attention(_attn_params(params, f"{prefix}/cross_attn"),
+                                     x, memory, memory, memory_mask, cfg.heads,
+                                     cross_kv)
+        x = _sublayer(x, cross, params, f"{prefix}/cross_attn_norm",
+                      cfg, training, rng)
+    return _sublayer(x, _ffn(x, params, f"{prefix}/ffn"),
+                     params, f"{prefix}/ffn_norm", cfg, training, rng)
+
+
+def _stack(stack: str, x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
+           cfg: ModelConfig, training: bool, rng, memory: Tensor | None = None,
+           memory_mask: np.ndarray | None = None) -> Tensor:
+    for prefix in _layer_prefixes(cfg, stack):
+        x = _layer(prefix, x, mask, params, cfg, training, rng, memory, memory_mask)
     return x
 
 
 def encode(config: ModelConfig, params: dict[str, Tensor],
            batch: SourceBatch, training: bool = False,
            rng=None) -> EncodedSource:
-    """Run the word encoder, the subword encoder, and the bridge stack.
-
-    The bridge repeats, per layer: unmasked self-attention over the
-    subword stream, cross-attention with queries from that stream and
-    keys/values from the word encoder's final output, then the
-    feed-forward block; every sublayer sits inside residual + layer norm
-    with dropout.
-    """
+    """Run the word encoder, the subword encoder, and the bridge stack,
+    whose layers add cross-attention from the subword stream into the word
+    encoder's final output."""
     if batch.f_w.size and batch.f_w.max() >= config.word_vocab_size:
         raise ContractError("word ids exceed the word vocabulary")
     if batch.f_s.size and batch.f_s.max() >= config.bpe_vocab_size:
@@ -327,27 +351,11 @@ def encode(config: ModelConfig, params: dict[str, Tensor],
     sub_mask = padding_attention_mask(batch.f_s_pad, dtype)
 
     x_w = _embed(params["embed/word"], batch.f_w, config, training, rng)
-    enc1 = _self_attn_stack("enc_word", config.n_layers_fw, x_w,
-                            word_mask, params, config, training, rng)
-
+    enc1 = _stack("enc_word", x_w, word_mask, params, config, training, rng)
     x_s = _embed(params["embed/bpe"], batch.f_s, config, training, rng)
-    enc2 = _self_attn_stack("enc_subword", config.n_layers_fs, x_s,
-                            sub_mask, params, config, training, rng)
-
-    y = enc2
-    for i in range(config.n_layers_es):
-        prefix = f"enc_cross/layer_{i}"
-        attn = multi_head_attention(_attn_params(params, f"{prefix}/self_attn"),
-                                    y, y, y, sub_mask, config.heads)
-        y = _sublayer(y, attn, params, f"{prefix}/self_attn_norm",
-                      config, training, rng)
-        cross = multi_head_attention(_attn_params(params, f"{prefix}/cross_attn"),
-                                     y, enc1, enc1, word_mask, config.heads)
-        y = _sublayer(y, cross, params, f"{prefix}/cross_attn_norm",
-                      config, training, rng)
-        y = _sublayer(y, _ffn(y, params, f"{prefix}/ffn"),
-                      params, f"{prefix}/ffn_norm", config, training, rng)
-
+    enc2 = _stack("enc_subword", x_s, sub_mask, params, config, training, rng)
+    y = _stack("enc_cross", enc2, sub_mask, params, config, training, rng,
+               enc1, word_mask)
     return EncodedSource(enc1, enc2, y, batch.f_w_pad, batch.f_s_pad)
 
 
@@ -399,21 +407,13 @@ class DecoderCache:
         return twin
 
 
-def _cross_kv(memory: Tensor, params: dict[str, Tensor], prefix: str,
-              heads: int) -> tuple[Tensor, Tensor]:
-    """Cross-attention keys and values of the bridge output, split into
-    heads."""
-    return tuple(
-        _split_heads(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"]), heads)
-        for w in ("wk", "wv"))
-
-
 def _prime(cache: DecoderCache, config: ModelConfig, params: dict[str, Tensor],
            encoded: EncodedSource, dtype) -> None:
     """Fill in ``cache``'s fixed parts for decoding against ``encoded``."""
-    cache.cross = [_cross_kv(encoded.enc12_out, params, f"decoder/layer_{i}",
-                             config.heads)
-                   for i in range(config.n_layers_dec)]
+    memory = encoded.enc12_out
+    cache.cross = [tuple(_split_heads(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"]),
+                                      config.heads) for w in ("wk", "wv"))
+                   for prefix in _layer_prefixes(config, "decoder")]
     cache.cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
     length = min(cache.ids.shape[1], config.max_positions + 1)
     cache.positions = positional_encoding(length, config.d_model,
@@ -440,7 +440,8 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
     output; returns logits [batch, tgt_len, bpe_vocab].
 
     Sequences may be one position longer than ``max_positions`` to make
-    room for the BOS offset.
+    room for the BOS offset.  Padded targets must be padded on the right:
+    the causal mask alone then keeps every real position off the pads.
 
     With a ``cache``, ``target_prefix_ids`` [cache.rows, n] holds the next
     n positions of every cached row: they attend to the cached positions
@@ -459,8 +460,8 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
     dtype = params["embed/bpe"].data.dtype
     memory = encoded.enc12_out
     if cache is None:
-        ids_so_far, positions = ids, None
-        causal = causal_attention_mask(end, dtype)
+        positions = None
+        mask = causal_attention_mask(end, dtype)
         cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
     else:
         if ids.shape[0] != cache.rows or cache.rows % memory.shape[0]:
@@ -473,35 +474,24 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
         if cache.cross is None:
             _prime(cache, config, params, encoded, dtype)
         cache.ids[:, start:end] = ids
-        ids_so_far, positions = cache.ids[:, :end], cache.positions[start:end]
-        causal = cache.causal[:, :, start:end, :end]
+        positions = cache.positions[start:end]
+        mask = cache.causal[:, :, start:end, :end]
         cross_mask = cache.cross_mask
-    mask = causal + padding_attention_mask(ids_so_far == PAD_ID, dtype)
 
     y = _embed(params["embed/bpe"], ids, config, training, rng, positions)
     if cache is not None:
         rows_shape = y.shape
         y = T.reshape(y, (-1, config.d_model))
-    for i in range(config.n_layers_dec):
-        prefix = f"decoder/layer_{i}"
-        self_params = _attn_params(params, f"{prefix}/self_attn")
+    for i, prefix in enumerate(_layer_prefixes(config, "decoder")):
         self_kv = cross_kv = None
         if cache is not None:
             self_kv = tuple(
-                _append_kv(store, y, self_params[w], rows_shape, start, config.heads)
+                _append_kv(store, y, params[f"{prefix}/self_attn/{w}"],
+                           rows_shape, start, config.heads)
                 for w, store in (("wk", cache.keys[i]), ("wv", cache.values[i])))
             cross_kv = cache.cross[i]
-        attn = multi_head_attention(self_params, y, y, y, mask, config.heads,
-                                    self_kv)
-        y = _sublayer(y, attn, params, f"{prefix}/self_attn_norm",
-                      config, training, rng)
-        cross = multi_head_attention(_attn_params(params, f"{prefix}/cross_attn"),
-                                     y, memory, memory, cross_mask, config.heads,
-                                     cross_kv)
-        y = _sublayer(y, cross, params, f"{prefix}/cross_attn_norm",
-                      config, training, rng)
-        y = _sublayer(y, _ffn(y, params, f"{prefix}/ffn"),
-                      params, f"{prefix}/ffn_norm", config, training, rng)
+        y = _layer(prefix, y, mask, params, config, training, rng,
+                   memory, cross_mask, self_kv, cross_kv)
 
     logits = T.linear(y, params["output/weight"], params["output/bias"])
     if cache is None:
@@ -522,13 +512,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, ff = config.d_model, config.d_ff
     shapes = {"embed/word": (config.word_vocab_size, d),
               "embed/bpe": (config.bpe_vocab_size, d)}
-    stacks = (("enc_word", config.n_layers_fw, False),
-              ("enc_subword", config.n_layers_fs, False),
-              ("enc_cross", config.n_layers_es, True),
-              ("decoder", config.n_layers_dec, True))
-    for component, n_layers, has_cross in stacks:
-        for i in range(n_layers):
-            prefix = f"{component}/layer_{i}"
+    for stack, (_, has_cross) in STACKS.items():
+        for prefix in _layer_prefixes(config, stack):
             blocks = ["self_attn"] + (["cross_attn"] if has_cross else [])
             for block in blocks:
                 for w in ("wq", "wk", "wv", "wo"):

@@ -330,9 +330,13 @@ class _Stages:
             "params": params_blob,
         }
         if os.path.exists(manifest_path) and all(os.path.exists(p) for p in outputs):
-            with open(manifest_path, encoding="utf-8") as fh:
-                have = json.load(fh)
-            if (have.get("inputs") == want["inputs"]
+            try:
+                with open(manifest_path, encoding="utf-8") as fh:
+                    have = json.load(fh)
+            except ValueError:      # cut short by a crash: the stage reruns
+                have = None
+            if (isinstance(have, dict)
+                    and have.get("inputs") == want["inputs"]
                     and have.get("params") == params_blob
                     and have.get("outputs") == {p: _sha256(p) for p in sorted(outputs)}):
                 if self.verbose:
@@ -345,8 +349,7 @@ class _Stages:
         except Exception as exc:
             raise StageError(name, exc) from exc
         want["outputs"] = {p: _sha256(p) for p in sorted(outputs)}
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(want, fh, indent=2, sort_keys=True)
+        C.write_text(manifest_path, [json.dumps(want, indent=2, sort_keys=True)])
 
 
 def run_pipeline(cfg: PipelineConfig, verbose: bool = False
@@ -413,8 +416,8 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         dev = C.preprocess_parallel(
             C.load_parallel(cfg.indomain_source, cfg.indomain_target))
         write_pairs(dev, paths["dev_src"], paths["dev_trg"])
-        with open(paths["clean_report"], "w", encoding="utf-8") as fh:
-            json.dump({"kept": len(kept), "dropped": dropped}, fh, sort_keys=True)
+        C.write_text(paths["clean_report"],
+                     [json.dumps({"kept": len(kept), "dropped": dropped}, sort_keys=True)])
 
     stages.run("clean",
                [cfg.general_source, cfg.general_target,
@@ -572,8 +575,7 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         hyps = C.read_lines(paths["hyp_txt"])
         refs = C.read_lines(cfg.indomain_target)
         report = evaluate_corpus(hyps, refs)
-        with open(paths["report"], "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        C.write_text(paths["report"], [report.to_json()])
 
     stages.run("evaluate", [paths["hyp_txt"], cfg.indomain_target], {},
                [paths["report"]], stage_evaluate)

@@ -3,7 +3,8 @@
 Layout: the magic string ``TFRX1``, then one record per tensor in
 insertion order: name length (u64 LE), UTF-8 name bytes, rank (u64 LE),
 the dims (u64 LE each), and the payload as little-endian IEEE-754 32-bit
-floats in row-major order.  Writes are atomic (temp file then rename).
+floats in row-major order.  Writes are atomic (temp file then rename); a
+file that cannot be written raises CheckpointError naming it.
 """
 
 from __future__ import annotations
@@ -20,18 +21,21 @@ MAGIC = b"TFRX1"
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        for name, arr in tensors.items():
-            name_bytes = name.encode("utf-8")
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            fh.write(struct.pack("<Q", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<Q", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes(order="C"))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            for name, arr in tensors.items():
+                name_bytes = name.encode("utf-8")
+                arr = np.ascontiguousarray(arr, dtype="<f4")
+                fh.write(struct.pack("<Q", len(name_bytes)))
+                fh.write(name_bytes)
+                fh.write(struct.pack("<Q", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<Q", dim))
+                fh.write(arr.tobytes(order="C"))
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot write: {exc.strerror}") from None
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:

@@ -5,6 +5,7 @@ checkpoint averaging, and the generic -> fine-tune regime."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
+from .corpus import write_text
 from .errors import (CheckpointError, ConfigError, ContractError,
                      TrainingError)
 from .model import (Checkpoint, ModelConfig, PAD_ID, BOS_ID, EOS_ID,
@@ -274,13 +276,14 @@ class LogRow:
 
 
 def write_loss_log(path: str, rows: list[LogRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "phase", "lr", "train_loss", "val_loss"])
-        for row in rows:
-            writer.writerow([row.step, row.phase, f"{row.lr:.10g}",
-                             f"{row.train_loss:.6f}",
-                             "" if row.val_loss is None else f"{row.val_loss:.6f}"])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["step", "phase", "lr", "train_loss", "val_loss"])
+    for row in rows:
+        writer.writerow([row.step, row.phase, f"{row.lr:.10g}",
+                         f"{row.train_loss:.6f}",
+                         "" if row.val_loss is None else f"{row.val_loss:.6f}"])
+    write_text(path, [buf.getvalue()])
 
 
 @dataclass
@@ -308,7 +311,10 @@ def train(generic_pairs: list[PreparedPair],
     On divergence (non-finite loss) training stops and the checkpoints
     written so far are still averaged.
     """
-    os.makedirs(ckpt_dir, exist_ok=True)
+    try:
+        os.makedirs(ckpt_dir, exist_ok=True)
+    except OSError as exc:
+        raise CheckpointError(f"{ckpt_dir}: cannot create: {exc.strerror}") from None
     config = checkpoint.config
     params = checkpoint.params
     state = OptimizerState.for_params(params, step=checkpoint.step)

@@ -1,6 +1,7 @@
 """Joint BPE learning, application, and exact decoding."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ class TestMergeFile:
         model = learn_bpe(corpus_from_freq(CLASSIC), target_vocab=100)
         path = str(tmp_path / "merges.txt")
         model.save(path)
-        first_line = open(path, encoding="utf-8").readline()
+        first_line = Path(path).read_text(encoding="utf-8").splitlines()[0]
         assert first_line.startswith("#")
         loaded = BpeModel.load(path)
         assert loaded.merges == model.merges

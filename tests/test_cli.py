@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ class TestLmCommands:
                        "--order", "2") == 0
         assert run_cli("lm-train", "--input", str(gen_src), "--model",
                        str(lm_out), "--order", "2") == 0
-        loaded = NGramLM.from_json(open(lm_in).read())
+        loaded = NGramLM.from_json(Path(lm_in).read_text())
         assert loaded.order == 2
 
         scores = tmp_path / "scores.tsv"
@@ -126,7 +127,7 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "BLEU 100.0" in out
         assert "TER 0.0" in out
-        report = json.load(open(json_path))
+        report = json.loads(Path(json_path).read_text())
         assert report["precisions"] == [1.0, 1.0, 1.0, 1.0]
 
     def test_single_metric(self, tmp_path, capsys):
@@ -159,6 +160,18 @@ class TestAverageCommand:
             expected = ((a.params[name].data.astype(np.float64)
                          + b.params[name].data) / 2).astype(np.float32)
             np.testing.assert_array_equal(avg.params[name].data, expected)
+
+    def test_missing_output_directory_is_2_and_named(self, tmp_path, capsys):
+        cfg = ModelConfig(bpe_vocab_size=10, word_vocab_size=10,
+                          n_layers_fw=1, n_layers_fs=1, n_layers_es=1,
+                          n_layers_dec=1, d_model=8, d_ff=16, heads=2,
+                          dropout=0.0, max_positions=8)
+        path = str(tmp_path / "a.tfrx")
+        init_params(cfg, seed=1).save(path)
+        out = tmp_path / "nodir" / "b.tfrx"
+        assert run_cli("average", "--inputs", path, "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: cannot write" in err and "No such file" in err
 
 
 class TestErrorCodes:
@@ -563,6 +576,28 @@ class TestTrainingCommands:
                        "--source-words", os.path.join(work, "select", "selected.src"),
                        "--ckpt-dir", str(tmp_path / "ckpt")) == 1
         assert "--source-words" in capsys.readouterr().err
+
+    def test_unwritable_loss_log_is_2_and_named(self, pipeline_work, tmp_path,
+                                                capsys):
+        root, ini = pipeline_work
+        log = tmp_path / "nodir" / "log.csv"
+        assert run_cli("train", "--config", ini,
+                       *self.common(str(root / "work"), "selected"),
+                       "--ckpt-dir", str(tmp_path / "ckpt"), "--epochs", "1",
+                       "--log", str(log)) == 2
+        err = capsys.readouterr().err
+        assert f"{log}: cannot write" in err and "No such file" in err
+
+    def test_checkpoint_directory_that_is_a_file_is_2_and_named(
+            self, pipeline_work, tmp_path, capsys):
+        root, ini = pipeline_work
+        ckpt = tmp_path / "ckpt"
+        ckpt.write_text("not a directory\n")
+        assert run_cli("train", "--config", ini,
+                       *self.common(str(root / "work"), "selected"),
+                       "--ckpt-dir", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: cannot create" in err and "File exists" in err
 
     def test_finetune_without_init_is_1(self, pipeline_work, tmp_path, capsys):
         root, ini = pipeline_work

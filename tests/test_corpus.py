@@ -1,6 +1,7 @@
 """Cleaning, normalization, tokenization, truecasing, postprocessing."""
 
 import unicodedata
+from pathlib import Path
 
 import pytest
 
@@ -223,7 +224,7 @@ class TestFileIO:
         path = str(tmp_path / "c.txt")
         lines = ["první věta", "druhá věta"]
         C.write_lines(path, lines)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert b"\r" not in raw
         assert C.read_lines(path) == lines
 

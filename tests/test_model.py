@@ -10,7 +10,8 @@ from transference.errors import (ConfigError, ContractError, NumericError,
 from transference.model import (Checkpoint, ModelConfig, Vocab,
                                 decode_forward, encode, init_params,
                                 make_source_batch, multi_head_attention,
-                                padding_attention_mask, positional_encoding,
+                                padding_attention_mask, param_shapes,
+                                positional_encoding,
                                 scaled_dot_attention, PAD_ID, BOS_ID, EOS_ID)
 from transference.tensor import GradTape, Tensor, backward
 
@@ -518,3 +519,27 @@ class TestMiniatureGradientCheck:
                                                   h=1e-6)[name]
             err = relative_gradient_error(grads[ckpt.params[name]], numeric)
             assert err < 1e-4, f"{name}: relative error {err}"
+
+    def test_every_stack_has_its_own_layer_count_and_gradients(self):
+        # distinct layer counts per stack, so a stack that reads another
+        # stack's count changes the parameter names or leaves one unused
+        from transference.training import PreparedPair, forward_loss, make_batches
+
+        cfg = tiny_config(n_layers_fw=1, n_layers_fs=2, n_layers_es=3,
+                          n_layers_dec=2, dropout=0.1)
+        names = param_shapes(cfg)
+        for stack, n in (("enc_word", 1), ("enc_subword", 2),
+                         ("enc_cross", 3), ("decoder", 2)):
+            layers = {name.split("/")[1] for name in names
+                      if name.startswith(f"{stack}/")}
+            assert layers == {f"layer_{i}" for i in range(n)}, stack
+        ckpt = init_params(cfg, seed=21, dtype=np.float64)
+        pairs = [PreparedPair((4, 5, 6), (4, 5, 6, 7), (8, 9, 10)),
+                 PreparedPair((7, 8), (8, 9), (11, 4))]
+        batch = make_batches(pairs, batch_tokens=100, max_len=10)[0]
+        with GradTape() as tape:
+            loss = forward_loss(cfg, ckpt.params, batch, 0.1, training=True,
+                                rng=np.random.default_rng(3))
+        grads = backward(tape, loss)
+        for name in names:
+            assert np.any(grads[ckpt.params[name]] != 0), name

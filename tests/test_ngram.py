@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,5 +234,5 @@ def test_scores_tsv_format(tmp_path):
     scored = [ScoredPair(make_pair(3), 1.25, 2.5, 0.125, 0.0625, 3.6875)]
     path = str(tmp_path / "scores.tsv")
     write_scores_tsv(path, scored)
-    line = open(path, encoding="utf-8").read().rstrip("\n")
+    line = Path(path).read_text(encoding="utf-8").rstrip("\n")
     assert line == "3\t3.687500\t1.250000\t2.500000\t0.125000\t0.062500"

@@ -4,6 +4,7 @@ tampering, and failure surfacing."""
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -75,7 +76,7 @@ class TestRunPipeline:
         cfg = load_pipeline_config(toy_config)
         workdir, _ = run_pipeline(cfg)
         scores = os.path.join(workdir, "select", "scores.tsv")
-        original = open(scores, "rb").read()
+        original = Path(scores).read_bytes()
         lines = read_lines(scores)
         with open(scores, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines[::-1]) + "\n")
@@ -84,7 +85,22 @@ class TestRunPipeline:
         out = capsys.readouterr().out
         assert "score: running" in out
         assert "select: up to date, skipped" in out
-        assert open(scores, "rb").read() == original
+        assert Path(scores).read_bytes() == original
+
+    def test_truncated_manifest_reruns_its_stage(self, toy_config, capsys):
+        # a crash while a manifest is written leaves partial JSON; the
+        # next run treats it as stale and reruns that stage
+        cfg = load_pipeline_config(toy_config)
+        workdir, _ = run_pipeline(cfg)
+        report = Path(workdir, "out", "report.json").read_bytes()
+        Path(workdir, "manifests", "score.json").write_text('{"inputs": {"in.txt"')
+        capsys.readouterr()
+        run_pipeline(cfg, verbose=True)
+        out = capsys.readouterr().out
+        assert "score: running" in out
+        assert "select: up to date, skipped" in out
+        json.loads(Path(workdir, "manifests", "score.json").read_text())
+        assert Path(workdir, "out", "report.json").read_bytes() == report
 
     def test_validation_bigger_than_corpus_fails_at_select(self, toy_files,
                                                            tmp_path):
@@ -174,5 +190,5 @@ class TestConfigLoading:
                     "ckpt/epoch_1.tfrx", "ckpt/loss_log.csv",
                     "out/report.json", "manifests/train.json"):
             assert os.path.exists(os.path.join(workdir, rel)), rel
-        report = json.load(open(os.path.join(workdir, "out", "report.json")))
+        report = json.loads(Path(workdir, "out", "report.json").read_text())
         assert set(report) >= {"bleu", "ter", "precisions"}

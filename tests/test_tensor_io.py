@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_wire_layout(tmp_path):
     path = str(tmp_path / "one.tfrx")
     arr = np.array([[1.0, 2.0]], dtype=np.float32)
     save_tensors(path, {"w": arr})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:5] == MAGIC
     offset = 5
     (name_len,) = struct.unpack_from("<Q", blob, offset)
@@ -67,8 +68,8 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_payload_rejected(tmp_path):
     path = str(tmp_path / "trunc.tfrx")
     save_tensors(path, {"w": np.ones((4, 4), dtype=np.float32)})
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-7])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-7])
     with pytest.raises(CheckpointError, match="truncated"):
         load_tensors(path)
 
@@ -92,7 +93,7 @@ def test_truncation_at_every_offset_fails_or_leaves_a_prefix(tmp_path):
                "d": np.array([7.0], dtype=np.float32)}
     full = str(tmp_path / "full.tfrx")
     save_tensors(full, tensors)
-    blob = open(full, "rb").read()
+    blob = Path(full).read_bytes()
     cut_path = tmp_path / "cut.tfrx"
     prefixes = 0
     for cut in range(len(blob)):
@@ -187,11 +188,11 @@ def test_missing_or_extra_tensor_is_named(tmp_path, edit, name):
 
 def test_cli_average_of_a_forged_checkpoint_exits_2(tmp_path, capsys):
     path = _tiny_checkpoint(tmp_path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     # forge the rank of the first record
     name_len = struct.unpack_from("<Q", blob, len(MAGIC))[0]
     at = len(MAGIC) + 8 + name_len
-    open(path, "wb").write(blob[:at] + struct.pack("<Q", 1 << 40) + blob[at + 8:])
+    Path(path).write_bytes(blob[:at] + struct.pack("<Q", 1 << 40) + blob[at + 8:])
     assert main(["average", "--inputs", path, path,
                  "--output", str(tmp_path / "avg.tfrx")]) == 2
     assert "truncated" in capsys.readouterr().err

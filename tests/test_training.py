@@ -327,7 +327,7 @@ class TestTrainLoop:
         first_epoch = [r.train_loss for r in result.log if r.phase == "generic"][0]
         last_epoch = [r for r in result.log if r.val_loss is not None][-1]
         assert last_epoch.train_loss < first_epoch
-        header = open(tmp_path / "log.csv").readline().strip()
+        header = (tmp_path / "log.csv").read_text().splitlines()[0].strip()
         assert header == "step,phase,lr,train_loss,val_loss"
 
     def test_zero_step_finetune_equals_phase1_average(self, tmp_path):
