@@ -25,7 +25,6 @@ class BpeModel:
 
     merges: list[tuple[str, str]]
     vocab: frozenset[str] = frozenset()
-    end_of_word: str = END_OF_WORD
     _ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
     _cache: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
@@ -37,7 +36,7 @@ class BpeModel:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
-        symbols = list(word) + [self.end_of_word]
+        symbols = list(word) + [END_OF_WORD]
         while len(symbols) > 1:
             best_rank = None
             best_pair = None
@@ -169,13 +168,12 @@ def apply_bpe(model: BpeModel, tokens: Sequence[str]) -> list[str]:
     return out
 
 
-def decode_bpe(subwords: Sequence[str],
-               end_of_word: str = END_OF_WORD) -> list[str]:
+def decode_bpe(subwords: Sequence[str]) -> list[str]:
     """Exact inverse of apply_bpe: concatenate and split at the markers."""
     text = "".join(subwords)
     if not text:
         return []
-    words = text.split(end_of_word)
+    words = text.split(END_OF_WORD)
     if words and words[-1] == "":
         words = words[:-1]
     return words

@@ -149,6 +149,8 @@ class Checkpoint:
                 sidecar = json.load(fh)
         except FileNotFoundError as exc:
             raise CheckpointError(f"missing config sidecar for {path}") from exc
+        except OSError as exc:
+            raise CheckpointError(f"{base}.json: cannot read: {exc.strerror}") from None
         except ValueError as exc:
             raise CheckpointError(f"{base}.json is not JSON: {exc}") from exc
         try:
@@ -207,11 +209,13 @@ def causal_attention_mask(length: int, dtype=np.float32) -> np.ndarray:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: np.ndarray | Tensor | None = None) -> Tensor:
+                         mask: np.ndarray | Tensor | None = None,
+                         heads: int | None = None) -> Tensor:
     """softmax(q @ k^T / sqrt(d_k) + mask) @ v.
 
     Masked positions receive a large negative score, so their weight
     underflows to an exact zero.  Leading batch/head dimensions broadcast.
+    With ``heads``, ``T.attention`` splits [..., len, d_model] into heads.
     """
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(
@@ -221,15 +225,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
             f"key/value length mismatch: {k.shape} vs {v.shape}")
     if isinstance(mask, Tensor):
         mask = mask.data
-    return T.attention(q, k, v, mask, 1.0 / math.sqrt(q.shape[-1]))
-
-
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """[..., len, d_model] -> [..., heads, len, d_k]; head i takes columns
-    [i*d_k, (i+1)*d_k)."""
-    parts = T.reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
-    ndim = len(parts.shape)
-    return T.transpose(parts, tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1))
+    return T.attention(q, k, v, mask, 1.0 / math.sqrt(q.shape[-1] // (heads or 1)), heads)
 
 
 def multi_head_attention(params: dict[str, Tensor], q_in: Tensor,
@@ -240,28 +236,21 @@ def multi_head_attention(params: dict[str, Tensor], q_in: Tensor,
     and the output projection.  ``params`` holds wq/wk/wv/wo, each
     [d_model, d_model]; head i uses columns [i*d_k, (i+1)*d_k).
 
-    ``kv``, when given, holds keys and values already projected and split
-    into heads, [batch, heads, len, d_k], and ``k_in``/``v_in`` are not
-    read.  ``q_in`` may then be flat rows [batch * n, d_model]: each group
-    of n consecutive rows attends as the n queries of one batch entry, and
-    the output keeps the rows of ``q_in``."""
+    ``kv``, when given, holds keys and values already projected,
+    [batch, len, d_model], and ``k_in``/``v_in`` are not read.  ``q_in``
+    [rows, n, d_model] may then have a multiple of batch rows: each group
+    of rows // batch consecutive rows attends as the queries of one batch
+    entry, and the output keeps the shape of ``q_in``."""
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
         raise ConfigError(f"d_model {d_model} not divisible by heads {heads}")
     q = T.matmul(q_in, params["wq"])
-    if kv is None:
-        q = _split_heads(q, heads)
-        k = _split_heads(T.matmul(k_in, params["wk"]), heads)
-        v = _split_heads(T.matmul(v_in, params["wv"]), heads)
-    else:
-        k, v = kv
-        q = _split_heads(T.reshape(q, (k.shape[0], -1, d_model)), heads)
-    heads_out = scaled_dot_attention(q, k, v, mask)
-    ndim = len(heads_out.shape)
-    order = tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1)
-    merged = T.transpose(heads_out, order)
-    merged = T.reshape(merged, q_in.shape[:-1] + (d_model,))
-    return T.matmul(merged, params["wo"])
+    k, v = kv or (T.matmul(k_in, params["wk"]), T.matmul(v_in, params["wv"]))
+    if kv is None or k.shape[0] == q.shape[0]:
+        return T.matmul(scaled_dot_attention(q, k, v, mask, heads), params["wo"])
+    q = T.reshape(q, (k.shape[0], -1, d_model))
+    out = T.reshape(scaled_dot_attention(q, k, v, mask, heads), q_in.shape)
+    return T.matmul(out, params["wo"])
 
 
 def _attn_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
@@ -314,7 +303,7 @@ def _layer(prefix: str, x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
     """One transformer layer: self-attention, cross-attention into
     ``memory`` when it is given, then the feed-forward block, each inside
     residual + layer norm with dropout.  ``self_kv`` and ``cross_kv`` are
-    keys and values already split into heads (``multi_head_attention``)."""
+    keys and values already projected (``multi_head_attention``)."""
     attn = multi_head_attention(_attn_params(params, f"{prefix}/self_attn"),
                                 x, x, x, mask, cfg.heads, self_kv)
     x = _sublayer(x, attn, params, f"{prefix}/self_attn_norm", cfg, training, rng)
@@ -364,18 +353,19 @@ class DecoderCache:
     ``decode_forward``.
 
     Per decoder layer it holds the self-attention keys and values of
-    every position decoded so far, in arrays [rows, heads, capacity, d_k]
+    every position decoded so far, in arrays [rows, capacity, d_model]
     allocated once.  ``ids`` records the decoded token ids.  On first use
     it takes what stays fixed while decoding: the cross-attention keys and
-    values of the bridge output, the cross-attention padding mask, the
-    positional table and the causal mask, which each step slices.
+    values of the bridge output, [sources, src_len, d_model] each, the
+    cross-attention padding mask, the positional table and the causal
+    mask, which each step slices.
     Consecutive groups of rows decode the same source sentence: with n
     sources, row r reads source r // (rows // n).
     """
 
     def __init__(self, config: ModelConfig, rows: int, capacity: int,
                  dtype=np.float32):
-        shape = (rows, config.heads, capacity, config.d_k)
+        shape = (rows, capacity, config.d_model)
         self.ids = np.full((rows, capacity), PAD_ID, dtype=np.int64)
         self.keys = [np.empty(shape, dtype) for _ in range(config.n_layers_dec)]
         self.values = [np.empty(shape, dtype) for _ in range(config.n_layers_dec)]
@@ -395,7 +385,7 @@ class DecoderCache:
         n = self.length
         self.ids[:, :n] = self.ids[parents, :n]
         for arr in self.keys + self.values:
-            arr[:, :, :n] = arr[parents, :, :n]
+            arr[:, :n] = arr[parents, :n]
 
     def copy(self) -> "DecoderCache":
         """An independent copy; the read-only cross-attention projections,
@@ -411,25 +401,14 @@ def _prime(cache: DecoderCache, config: ModelConfig, params: dict[str, Tensor],
            encoded: EncodedSource, dtype) -> None:
     """Fill in ``cache``'s fixed parts for decoding against ``encoded``."""
     memory = encoded.enc12_out
-    cache.cross = [tuple(_split_heads(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"]),
-                                      config.heads) for w in ("wk", "wv"))
+    cache.cross = [tuple(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"])
+                         for w in ("wk", "wv"))
                    for prefix in _layer_prefixes(config, "decoder")]
     cache.cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
     length = min(cache.ids.shape[1], config.max_positions + 1)
     cache.positions = positional_encoding(length, config.d_model,
                                           config.max_positions + 1, dtype=dtype)
     cache.causal = causal_attention_mask(length, dtype)
-
-
-def _append_kv(store: np.ndarray, y: Tensor, weight: Tensor,
-               rows_shape: tuple[int, ...], start: int, heads: int) -> Tensor:
-    """Project the new positions ``y`` (flat rows), write them into the
-    cache array ``store`` after ``start`` cached positions, and return all
-    positions so far."""
-    end = start + rows_shape[1]
-    new = _split_heads(T.reshape(T.matmul(y, weight), rows_shape), heads)
-    store[:, :, start:end] = new.data
-    return T.constant(store[:, :, :end])
 
 
 def decode_forward(config: ModelConfig, params: dict[str, Tensor],
@@ -446,8 +425,7 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
     With a ``cache``, ``target_prefix_ids`` [cache.rows, n] holds the next
     n positions of every cached row: they attend to the cached positions
     and to each other, their keys and values join the cache, and the
-    logits cover only them.  Each weight product then runs once over all
-    rows as a [rows * n, d_model] matrix.
+    logits cover only them.
     """
     ids = np.asarray(target_prefix_ids)
     start = 0 if cache is None else cache.length
@@ -479,25 +457,20 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
         cross_mask = cache.cross_mask
 
     y = _embed(params["embed/bpe"], ids, config, training, rng, positions)
-    if cache is not None:
-        rows_shape = y.shape
-        y = T.reshape(y, (-1, config.d_model))
     for i, prefix in enumerate(_layer_prefixes(config, "decoder")):
         self_kv = cross_kv = None
         if cache is not None:
-            self_kv = tuple(
-                _append_kv(store, y, params[f"{prefix}/self_attn/{w}"],
-                           rows_shape, start, config.heads)
-                for w, store in (("wk", cache.keys[i]), ("wv", cache.values[i])))
+            stores = (cache.keys[i], cache.values[i])
+            for w, store in zip(("wk", "wv"), stores):
+                store[:, start:end] = T.matmul(y, params[f"{prefix}/self_attn/{w}"]).data
+            self_kv = tuple(T.constant(store[:, :end]) for store in stores)
             cross_kv = cache.cross[i]
         y = _layer(prefix, y, mask, params, config, training, rng,
                    memory, cross_mask, self_kv, cross_kv)
 
-    logits = T.linear(y, params["output/weight"], params["output/bias"])
-    if cache is None:
-        return logits
-    cache.length = end
-    return T.reshape(logits, rows_shape[:-1] + (config.bpe_vocab_size,))
+    if cache is not None:
+        cache.length = end
+    return T.linear(y, params["output/weight"], params["output/bias"])
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,

@@ -313,12 +313,19 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _make_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot create: {exc.strerror}") from None
+
+
 class _Stages:
-    """Runs stages with manifest-based skipping."""
+    """Runs stages with manifest-based skipping; the manifests go to
+    ``workdir``/manifests, which must exist."""
 
     def __init__(self, workdir: str, verbose: bool = False):
         self.manifest_dir = os.path.join(workdir, "manifests")
-        os.makedirs(self.manifest_dir, exist_ok=True)
         self.verbose = verbose
 
     def run(self, name: str, inputs: list[str], params: dict,
@@ -357,7 +364,7 @@ def run_pipeline(cfg: PipelineConfig, verbose: bool = False
     """Execute (or resume) every stage; returns the work directory and the
     final BLEU/TER report on the in-domain corpus."""
     cfg.validate()
-    os.makedirs(cfg.workdir, exist_ok=True)
+    _make_dir(cfg.workdir)
     # closing the lock file releases the lock
     with open(os.path.join(cfg.workdir, ".lock"), "w") as lock_file:
         try:
@@ -371,8 +378,8 @@ def run_pipeline(cfg: PipelineConfig, verbose: bool = False
 def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
                          ) -> tuple[str, EvalReport]:
     work = cfg.workdir
-    for sub in ("corpus", "lm", "select", "bpe", "ckpt", "out"):
-        os.makedirs(os.path.join(work, sub), exist_ok=True)
+    for sub in ("corpus", "lm", "select", "bpe", "ckpt", "out", "manifests"):
+        _make_dir(os.path.join(work, sub))
     stages = _Stages(work, verbose)
     paths = {
         "gen_src": os.path.join(work, "corpus", "general.src"),

@@ -278,13 +278,27 @@ def _rows_times_matrix(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     return _make_output(out.reshape(lead + (k,)), inputs, rule)
 
 
+def _to_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[..., len, d] -> a view [..., heads, len, d_h]; head i is columns [i*d_h, (i+1)*d_h)."""
+    return np.swapaxes(x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -2, -3)
+
+
+def _from_heads(x: np.ndarray) -> np.ndarray:
+    """[..., heads, len, d_h] -> [..., len, heads * d_h], undoing ``_to_heads``."""
+    return np.swapaxes(x, -2, -3).reshape(x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
-              scale: float = 1.0) -> Tensor:
+              scale: float = 1.0, heads: int | None = None) -> Tensor:
     """softmax(q @ k^T * scale + mask) @ v over the last two axes, as one
     op with one backward rule.  Leading dimensions broadcast; ``mask`` is
-    an additive constant that takes no gradient."""
+    an additive constant that takes no gradient.  With ``heads``, q, k and
+    v are [..., len, d] and attend as heads (``_to_heads``; ``mask`` then
+    broadcasts to [..., heads, len_q, len_k]), merged back to [..., len, d]."""
     kind = q.data.dtype.type
     q_data, k_data, v_data = q.data, k.data, v.data
+    if heads is not None:
+        q_data, k_data, v_data = (_to_heads(x, heads) for x in (q_data, k_data, v_data))
     probs = np.matmul(q_data, np.swapaxes(k_data, -1, -2))
     probs *= kind(scale)
     if mask is not None:
@@ -306,6 +320,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
     out = np.matmul(probs, v_data)
 
     def rule(g):
+        if heads is not None:
+            g = _to_heads(g, heads)
         gv = None
         if v.requires_grad:
             gv = _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), g), v_data.shape)
@@ -318,9 +334,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
             gq = _unbroadcast(np.matmul(gs, k_data), q_data.shape)
         if k.requires_grad:
             gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q_data), k_data.shape)
-        return gq, gk, gv
+        if heads is None:
+            return gq, gk, gv
+        return tuple(None if x is None else _from_heads(x) for x in (gq, gk, gv))
 
-    return _make_output(out, (q, k, v), rule)
+    return _make_output(out if heads is None else _from_heads(out), (q, k, v), rule)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -4,7 +4,7 @@ Layout: the magic string ``TFRX1``, then one record per tensor in
 insertion order: name length (u64 LE), UTF-8 name bytes, rank (u64 LE),
 the dims (u64 LE each), and the payload as little-endian IEEE-754 32-bit
 floats in row-major order.  Writes are atomic (temp file then rename); a
-file that cannot be written raises CheckpointError naming it.
+file that cannot be read or written raises CheckpointError naming it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
     """Every tensor of a TFRX1 file.  Each length in the file is checked
     against the bytes left before it is read, so a truncated or forged
     file raises CheckpointError and allocates nothing past its own size."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         left = os.fstat(fh.fileno()).st_size
 
         def read(n: int, what: str) -> bytes:

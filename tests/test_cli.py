@@ -173,6 +173,26 @@ class TestAverageCommand:
         err = capsys.readouterr().err
         assert f"{out}: cannot write" in err and "No such file" in err
 
+    @pytest.mark.parametrize("broken, cause", [
+        ("a.tfrx", "No such file"), ("a.tfrx", "Is a directory"),
+        ("a.json", "Is a directory")],
+        ids=["missing_payload", "payload_is_directory", "sidecar_is_directory"])
+    def test_unreadable_checkpoint_is_2_and_named(self, tmp_path, capsys,
+                                                   broken, cause):
+        cfg = ModelConfig(bpe_vocab_size=10, word_vocab_size=10,
+                          n_layers_fw=1, n_layers_fs=1, n_layers_es=1,
+                          n_layers_dec=1, d_model=8, d_ff=16, heads=2,
+                          dropout=0.0, max_positions=8)
+        path = tmp_path / "a.tfrx"
+        init_params(cfg, seed=1).save(str(path))
+        (tmp_path / broken).unlink()
+        if cause == "Is a directory":
+            (tmp_path / broken).mkdir()
+        assert run_cli("average", "--inputs", str(path),
+                       "--output", str(tmp_path / "b.tfrx")) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / broken}: cannot read" in err and cause in err
+
 
 class TestErrorCodes:
     def test_usage_error_is_1(self):
@@ -188,6 +208,20 @@ class TestErrorCodes:
 
     def test_missing_config_is_1(self):
         assert run_cli("pipeline", "--config", "/nonexistent.ini") == 1
+
+    @pytest.mark.parametrize("blocked", ["", "corpus", "manifests"],
+                             ids=["workdir", "stage_dir", "manifest_dir"])
+    def test_uncreatable_work_directory_is_2_and_named(
+            self, toy_files, tmp_path, capsys, blocked):
+        work = tmp_path / "work"
+        if blocked:
+            work.mkdir()
+        path = work / blocked if blocked else work
+        path.write_text("not a directory\n")
+        ini = write_pipeline_ini(tmp_path / "c.ini", toy_files, str(work))
+        assert run_cli("pipeline", "--config", str(ini)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: cannot create" in err and "File exists" in err
 
 
 class TestConfigErrors:

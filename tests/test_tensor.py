@@ -340,6 +340,17 @@ def _unfused_attention(q, k, v, mask, scale):
     return T.matmul(T.softmax(scores, axis=-1), v)
 
 
+def _tape_split_attention(q, k, v, mask, scale, heads):
+    """Head-split attention with the split and merge as tape ops around
+    the single-head op: [B, len, d] -> [B, heads, len, d / heads] -> back."""
+    def split(x):
+        b, n, d = x.shape
+        return T.transpose(T.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
+    out = T.transpose(T.attention(split(q), split(k), split(v), mask, scale),
+                      (0, 2, 1, 3))
+    return T.reshape(out, out.shape[:2] + (out.shape[2] * out.shape[3],))
+
+
 def _unfused_smoothed_ce(logits, targets, counted, eps):
     """The label-smoothed loss as separate tape ops."""
     vocab = logits.shape[-1]
@@ -387,6 +398,23 @@ def _grads_of(build, arrays):
     return loss, {name: grads[t] for name, t in tensors.items()}
 
 
+def _head_cases():
+    """[B, len, d] inputs by case: a [B, 1, 1, S] padding mask with values
+    wider than queries and keys, and a [1, 1, T, T] causal mask."""
+    rng = np.random.default_rng(35)
+    pad = np.zeros((2, 1, 1, 5))
+    pad[1, ..., 3:] = T.MASK_VALUE
+    causal = np.triu(np.full((4, 4), T.MASK_VALUE), k=1)[None, None]
+    return {
+        "padding": ({"q": rng.normal(size=(2, 4, 8)),
+                     "k": rng.normal(size=(2, 5, 8)),
+                     "v": rng.normal(size=(2, 5, 12))}, pad),
+        "causal": ({"q": rng.normal(size=(2, 4, 8)),
+                    "k": rng.normal(size=(2, 4, 8)),
+                    "v": rng.normal(size=(2, 4, 8))}, causal),
+    }
+
+
 class TestFusedOps:
     """The fused training ops: finite-difference gradients, and the same
     values and gradients as the unfused compositions they replace."""
@@ -404,6 +432,31 @@ class TestFusedOps:
             T.attention(t["q"], t["k"], t["v"], mask, 0.4), 3), arrays)
         plain, g_plain = _grads_of(lambda t: _weighted_sum(
             _unfused_attention(t["q"], t["k"], t["v"], mask, 0.4), 3), arrays)
+        assert abs(fused.item() - plain.item()) <= 1e-12
+        for name in arrays:
+            np.testing.assert_allclose(g_fused[name], g_plain[name],
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    @pytest.mark.parametrize("case", ["padding", "causal"])
+    def test_attention_heads_gradients(self, case, heads):
+        arrays, mask = _head_cases()[case]
+        _gradcheck_op(lambda t: _weighted_sum(
+            T.attention(t["q"], t["k"], t["v"], mask, 0.4, heads), 6), arrays)
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    @pytest.mark.parametrize("case", ["padding", "causal"])
+    def test_attention_heads_equal_split_reference(self, case, heads):
+        arrays, mask = _head_cases()[case]
+        q, k, v = (Tensor(arrays[name], dtype=np.float64) for name in "qkv")
+        np.testing.assert_allclose(
+            T.attention(q, k, v, mask, 0.4, heads).data,
+            _tape_split_attention(q, k, v, mask, 0.4, heads).data, rtol=0, atol=1e-12)
+        fused, g_fused = _grads_of(lambda t: _weighted_sum(
+            T.attention(t["q"], t["k"], t["v"], mask, 0.4, heads), 6), arrays)
+        plain, g_plain = _grads_of(lambda t: _weighted_sum(
+            _tape_split_attention(t["q"], t["k"], t["v"], mask, 0.4, heads), 6),
+            arrays)
         assert abs(fused.item() - plain.item()) <= 1e-12
         for name in arrays:
             np.testing.assert_allclose(g_fused[name], g_plain[name],
