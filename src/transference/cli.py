@@ -7,19 +7,20 @@ stage or computation fails.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import replace
 
 from . import corpus as C
-from .bpe import BpeModel, apply_bpe, decode_bpe, learn_bpe
+from .bpe import BpeModel, apply_bpe, decode_bpe
 from .errors import ConfigError, TransferenceError
-from .metrics import bleu, evaluate_corpus, ter
+from .metrics import bleu, ter
 from .model import Checkpoint, Vocab
-from .pipeline import (lm_train, load_pipeline_config, read_pairs,
-                       read_tokens, run_pipeline, score_corpus, select_split,
-                       source_batch, train_model, write_pairs)
+from .pipeline import (PipelineConfig, evaluate_files, learn_merges, lm_train,
+                       load_pipeline_config, read_pairs, read_tokens,
+                       run_pipeline, score_corpus, segment_files, select_split,
+                       source_batch, train_model, train_truecaser,
+                       truecase_files, write_pairs)
 from .search import translate_batch_nbest
 from .training import average_checkpoints
 
@@ -48,25 +49,9 @@ def _cmd_clean(args) -> None:
     print(json.dumps({"kept": len(kept), "dropped": dropped}, sort_keys=True))
 
 
-def _cmd_truecase_train(args) -> None:
-    model = C.truecase_train(read_tokens(args.input))
-    model.save(args.model)
-
-
-def _cmd_truecase(args) -> None:
-    model = C.TruecaseModel.load(args.model)
-    lines = [" ".join(C.truecase_apply(model, toks))
-             for toks in read_tokens(args.input)]
-    C.write_lines(args.output, lines)
-
-
 def _cmd_postprocess(args) -> None:
     lines = [C.postprocess(toks) for toks in read_tokens(args.input)]
     C.write_lines(args.output, lines)
-
-
-def _cmd_lm_train(args) -> None:
-    lm_train(args.input, args.model, args.order)
 
 
 def _cmd_score(args) -> None:
@@ -81,18 +66,6 @@ def _cmd_select(args) -> None:
                  {name: (f"{args.out_prefix}.{name}.src",
                          f"{args.out_prefix}.{name}.trg")
                   for name in ("validation", "selected", "sorted_all")})
-
-
-def _cmd_bpe_learn(args) -> None:
-    corpora = [read_tokens(path) for path in args.inputs]
-    model = learn_bpe(itertools.chain(*corpora), args.vocab_size)
-    model.save(args.output)
-
-
-def _cmd_bpe_apply(args) -> None:
-    model = BpeModel.load(args.merges)
-    lines = [" ".join(apply_bpe(model, toks)) for toks in read_tokens(args.input)]
-    C.write_lines(args.output, lines)
 
 
 def _cmd_bpe_decode(args) -> None:
@@ -159,20 +132,16 @@ def _cmd_translate(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    hyps = C.read_lines(args.hyp)
-    refs = C.read_lines(args.ref)
-    if args.metric == "bleu":
-        print(f"BLEU {bleu(hyps, refs):.1f}")
-    elif args.metric == "ter":
-        print(f"TER {ter(hyps, refs):.1f}")
-    else:
-        report = evaluate_corpus(hyps, refs)
-        print(f"BLEU {report.bleu:.1f}")
-        print(f"TER {report.ter:.1f}")
-        if args.json:
-            C.write_text(args.json, [report.to_json()])
-        else:
-            print(report.to_json())
+    if args.metric != "both":
+        metric = bleu if args.metric == "bleu" else ter
+        score = metric(C.read_lines(args.hyp), C.read_lines(args.ref))
+        print(f"{args.metric.upper()} {score:.1f}")
+        return
+    report = evaluate_files(args.hyp, args.ref, args.json)
+    print(f"BLEU {report.bleu:.1f}")
+    print(f"TER {report.ter:.1f}")
+    if not args.json:
+        print(report.to_json())
 
 
 def _cmd_pipeline(args) -> None:
@@ -223,15 +192,18 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
-    p.add_argument("--min-tokens", type=int, default=1)
-    p.add_argument("--max-tokens", type=int, default=100)
-    p.add_argument("--max-ratio", type=float, default=3.0)
+    p.add_argument("--min-tokens", type=int, default=PipelineConfig.min_tokens)
+    p.add_argument("--max-tokens", type=int, default=PipelineConfig.max_tokens)
+    p.add_argument("--max-ratio", type=float, default=PipelineConfig.max_ratio)
 
-    p = sub_parser("truecase-train", _cmd_truecase_train, help="learn majority casings")
+    p = sub_parser("truecase-train", lambda a: train_truecaser(a.input, a.model),
+                   help="learn majority casings")
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
 
-    p = sub_parser("truecase", _cmd_truecase, help="recase sentence-initial tokens")
+    p = sub_parser("truecase",
+                   lambda a: truecase_files(a.model, [(a.input, a.output)]),
+                   help="recase sentence-initial tokens")
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
@@ -241,10 +213,11 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = sub_parser("lm-train", _cmd_lm_train, help="train an n-gram language model")
+    p = sub_parser("lm-train", lambda a: lm_train(a.input, a.model, a.order),
+                   help="train an n-gram language model")
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--order", type=int, default=PipelineConfig.lm_order)
 
     p = sub_parser("score", _cmd_score,
                    help="bilingual cross-entropy-difference scores")
@@ -260,16 +233,20 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--n-validation", type=int, default=1000)
-    p.add_argument("--n-select", type=int, default=500000)
+    p.add_argument("--n-validation", type=int,
+                   default=PipelineConfig.n_validation)
+    p.add_argument("--n-select", type=int, default=PipelineConfig.n_select)
     p.add_argument("--out-prefix", required=True)
 
-    p = sub_parser("bpe-learn", _cmd_bpe_learn, help="learn joint BPE merges")
+    p = sub_parser("bpe-learn",
+                   lambda a: learn_merges(a.inputs, a.output, a.vocab_size),
+                   help="learn joint BPE merges")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--vocab-size", type=int, default=28000)
+    p.add_argument("--vocab-size", type=int, default=PipelineConfig.bpe_vocab)
     p.add_argument("--output", required=True)
 
-    p = sub_parser("bpe-apply", _cmd_bpe_apply,
+    p = sub_parser("bpe-apply",
+                   lambda a: segment_files(a.merges, [(a.input, a.output)]),
                    help="segment tokens into subword units")
     p.add_argument("--merges", required=True)
     p.add_argument("--input", required=True)
@@ -306,9 +283,11 @@ def build_parser() -> _Parser:
     p.add_argument("--word-vocab", required=True)
     p.add_argument("--bpe-vocab", required=True)
     p.add_argument("--output")
-    p.add_argument("--beam", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=256)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beam", type=int, default=PipelineConfig.beam)
+    p.add_argument("--max-len", type=int,
+                   default=PipelineConfig.decode_max_len)
+    p.add_argument("--alpha", type=float,
+                   default=PipelineConfig.length_alpha)
     p.add_argument("--nbest", type=int)
     p.add_argument("--preprocess", action="store_true")
     p.add_argument("--truecase-model")

@@ -40,6 +40,12 @@ class EvalReport:
             "sentences": self.sentences,
         }, sort_keys=True)
 
+    @classmethod
+    def from_json(cls, text: str) -> "EvalReport":
+        data = json.loads(text)
+        return cls(data["bleu"], data["precisions"], data["brevity_penalty"],
+                   data["ter"], data["sentences"])
+
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))

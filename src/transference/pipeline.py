@@ -7,10 +7,11 @@ stages whose inputs, parameters, and outputs all match their manifest
 are skipped on rerun.  A changed input re-runs the stage and, because
 its outputs feed later manifests, everything downstream.
 
-The stage functions here (``lm_train``, ``score_corpus``,
-``select_split``, ``prepare_pairs``, ``source_batch``, ``train_model``)
-take paths in and write paths out; the CLI subcommands call the same
-functions, and read the same config table."""
+The stage functions here (``train_truecaser``, ``truecase_files``,
+``lm_train``, ``score_corpus``, ``select_split``, ``learn_merges``,
+``segment_files``, ``prepare_pairs``, ``source_batch``, ``train_model``,
+``evaluate_files``) take paths in and write paths out; the CLI
+subcommands call the same functions, and read the same config table."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from . import corpus as C
 from . import ngram as N
-from .bpe import apply_bpe, decode_bpe, learn_bpe
+from .bpe import BpeModel, apply_bpe, decode_bpe, learn_bpe
 from .errors import ConfigError, ContractError, DataError, StageError
 from .metrics import EvalReport, evaluate_corpus
 from .model import (Checkpoint, ModelConfig, SourceBatch, Vocab, check_source,
@@ -191,6 +192,18 @@ def read_pairs(src_path: str, trg_path: str) -> list[C.SentencePair]:
             for i, (s, t) in enumerate(C.load_parallel(src_path, trg_path))]
 
 
+def train_truecaser(corpus_path: str, model_path: str) -> None:
+    C.truecase_train(read_tokens(corpus_path)).save(model_path)
+
+
+def truecase_files(model_path: str, files: list[tuple[str, str]]) -> None:
+    """Recase each (input, output) pair of token files with one model."""
+    model = C.TruecaseModel.load(model_path)
+    for in_path, out_path in files:
+        C.write_lines(out_path, [" ".join(C.truecase_apply(model, toks))
+                                 for toks in read_tokens(in_path)])
+
+
 def lm_train(corpus_path: str, model_path: str, order: int) -> None:
     lm = N.train_lm(read_tokens(corpus_path), order=order)
     C.write_text(model_path, [lm.to_json()])
@@ -255,6 +268,22 @@ def select_split(scores_path: str, src_path: str, trg_path: str,
         write_pairs([s.pair for s in subset], *out[name])
 
 
+def learn_merges(corpus_paths: list[str], merges_path: str,
+                 vocab_size: int) -> None:
+    """Joint BPE merges learned from the token files together."""
+    corpora = [read_tokens(path) for path in corpus_paths]
+    learn_bpe(itertools.chain(*corpora), vocab_size).save(merges_path)
+
+
+def segment_files(merges_path: str, files: list[tuple[str, str]]) -> None:
+    """Segment each (input, output) pair of token files with one merge
+    table, whose word cache serves them all."""
+    model = BpeModel.load(merges_path)
+    for in_path, out_path in files:
+        C.write_lines(out_path, [" ".join(apply_bpe(model, toks))
+                                 for toks in read_tokens(in_path)])
+
+
 def prepare_pairs(word_vocab: Vocab, bpe_vocab: Vocab, src_bpe_path: str,
                   trg_bpe_path: str) -> list[PreparedPair]:
     """Training pairs of id tuples; the source words are the ones its
@@ -305,11 +334,24 @@ def train_model(cfg: PipelineConfig, word_vocab_path: str, bpe_vocab_path: str,
                  verbose=verbose)
 
 
+def evaluate_files(hyp_path: str, ref_path: str,
+                   report_path: str | None = None) -> EvalReport:
+    """BLEU/TER of a hypothesis file against a reference file; the JSON
+    report goes to ``report_path`` when one is given."""
+    report = evaluate_corpus(C.read_lines(hyp_path), C.read_lines(ref_path))
+    if report_path:
+        C.write_text(report_path, [report.to_json()])
+    return report
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     return digest.hexdigest()
 
 
@@ -365,8 +407,13 @@ def run_pipeline(cfg: PipelineConfig, verbose: bool = False
     final BLEU/TER report on the in-domain corpus."""
     cfg.validate()
     _make_dir(cfg.workdir)
+    lock_path = os.path.join(cfg.workdir, ".lock")
+    try:
+        lock_file = open(lock_path, "w")
+    except OSError as exc:
+        raise DataError(f"{lock_path}: cannot open: {exc.strerror}") from None
     # closing the lock file releases the lock
-    with open(os.path.join(cfg.workdir, ".lock"), "w") as lock_file:
+    with lock_file:
         try:
             fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:
@@ -408,10 +455,10 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
     splits = {name: tuple(os.path.join(work, "select", f"{name}.{side}")
                           for side in ("src", "trg"))
               for name in ("validation", "selected", "sorted_all")}
-    bpe_paths = {}
-    for split in ("sorted_all", "selected", "validation", "indomain"):
-        for side in ("src", "trg"):
-            bpe_paths[f"{split}.{side}"] = os.path.join(work, "bpe", f"{split}.{side}.bpe")
+    # (source, target) BPE files of each split the bpe stage writes
+    bpe_paths = {name: tuple(os.path.join(work, "bpe", f"{name}.{side}.bpe")
+                             for side in ("src", "trg"))
+                 for name in ("sorted_all", "selected", "validation", "indomain")}
 
     # -- clean: normalize + tokenize + corpus cleaning -----------------
     def stage_clean():
@@ -438,11 +485,10 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
     # -- truecase: train per-language on the cleaned general corpus ----
     def stage_truecase():
         for side in ("src", "trg"):
-            model = C.truecase_train(read_tokens(paths[f"gen_{side}"]))
-            model.save(paths[f"tc_{side}"])
-            for path in (paths[f"gen_{side}"], paths[f"dev_{side}"]):
-                C.write_lines(path + ".tc", [" ".join(C.truecase_apply(model, toks))
-                                             for toks in read_tokens(path)])
+            train_truecaser(paths[f"gen_{side}"], paths[f"tc_{side}"])
+            truecase_files(paths[f"tc_{side}"],
+                           [(path, path + ".tc") for path
+                            in (paths[f"gen_{side}"], paths[f"dev_{side}"])])
 
     truecase_outputs = [paths["tc_src"], paths["tc_trg"]] + [
         p + ".tc" for p in (paths["gen_src"], paths["gen_trg"],
@@ -490,32 +536,23 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
                                            paths["dev_trg"] + ".tc")}
 
     def stage_bpe():
-        src = read_tokens(paths["gen_src"] + ".tc")
-        trg = read_tokens(paths["gen_trg"] + ".tc")
-        model = learn_bpe(itertools.chain(src, trg), cfg.bpe_vocab)
-        model.save(paths["merges"])
-        bpe_corpus = []
-        for split, (src_path, trg_path) in split_tokens.items():
-            for side, path in (("src", src_path), ("trg", trg_path)):
-                lines = []
-                for toks in read_tokens(path):
-                    segmented = apply_bpe(model, toks)
-                    lines.append(" ".join(segmented))
-                    if split == "sorted_all":
-                        bpe_corpus.append(segmented)
-                C.write_lines(bpe_paths[f"{split}.{side}"], lines)
-        bpe_vocab = Vocab.from_corpus(bpe_corpus)
-        bpe_vocab.save(paths["bpe_vocab"])
-        word_vocab = Vocab.from_corpus(
-            read_tokens(splits["sorted_all"][0]), max_size=cfg.word_vocab)
-        word_vocab.save(paths["word_vocab"])
+        learn_merges([paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc"],
+                     paths["merges"], cfg.bpe_vocab)
+        segment_files(paths["merges"],
+                      [pair for split in split_tokens
+                       for pair in zip(split_tokens[split], bpe_paths[split])])
+        src_bpe, trg_bpe = bpe_paths["sorted_all"]
+        Vocab.from_corpus(read_tokens(src_bpe)
+                          + read_tokens(trg_bpe)).save(paths["bpe_vocab"])
+        Vocab.from_corpus(read_tokens(splits["sorted_all"][0]),
+                          max_size=cfg.word_vocab).save(paths["word_vocab"])
 
     stages.run("bpe",
                [paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc",
                 *(p for pair in split_tokens.values() for p in pair)],
                {"vocab_size": cfg.bpe_vocab, "word_vocab": cfg.word_vocab},
-               [paths["merges"], paths["bpe_vocab"], paths["word_vocab"]]
-               + sorted(bpe_paths.values()),
+               [paths["merges"], paths["bpe_vocab"], paths["word_vocab"],
+                *(p for pair in bpe_paths.values() for p in pair)],
                stage_bpe)
 
     # -- the in-domain source as the translate stage decodes it; a line it
@@ -523,7 +560,7 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
     def indomain_batch() -> SourceBatch:
         return source_batch(Vocab.load(paths["word_vocab"]),
                             Vocab.load(paths["bpe_vocab"]),
-                            read_tokens(bpe_paths["indomain.src"]))
+                            read_tokens(bpe_paths["indomain"][0]))
 
     try:
         check_source(indomain_batch(), cfg.model.max_positions)
@@ -531,12 +568,9 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         raise StageError("translate", exc) from exc
 
     # -- train: generic phase then fine-tuning, then averaging ---------
-    def train_files(split: str) -> tuple[str, str]:
-        return bpe_paths[f"{split}.src"], bpe_paths[f"{split}.trg"]
-
     train_inputs = [paths["word_vocab"], paths["bpe_vocab"]] + [
         path for split in ("sorted_all", "selected", "validation")
-        for path in train_files(split)]
+        for path in bpe_paths[split]]
     train_params = {
         "model": {**cfg.model.to_dict(), "bpe_vocab_size": 0, "word_vocab_size": 0},
         "generic": vars(cfg.train_generic).copy(),
@@ -546,9 +580,9 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
     stages.run("train", train_inputs, train_params,
                [paths["averaged"], paths["loss_log"]],
                lambda: train_model(cfg, paths["word_vocab"], paths["bpe_vocab"],
-                                   train_files("sorted_all"),
-                                   train_files("selected"),
-                                   train_files("validation"), paths["ckpt_dir"],
+                                   bpe_paths["sorted_all"],
+                                   bpe_paths["selected"],
+                                   bpe_paths["validation"], paths["ckpt_dir"],
                                    log_path=paths["loss_log"], verbose=verbose))
 
     # -- translate: beam-decode the in-domain source -------------------
@@ -563,7 +597,7 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
 
     stages.run("translate",
                [paths["averaged"], paths["word_vocab"], paths["bpe_vocab"],
-                bpe_paths["indomain.src"]],
+                bpe_paths["indomain"][0]],
                {"beam": cfg.beam, "max_len": cfg.decode_max_len,
                 "length_alpha": cfg.length_alpha},
                [paths["hyp_bpe"]], stage_translate)
@@ -578,17 +612,9 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
                [paths["hyp_txt"]], stage_postprocess)
 
     # -- evaluate: BLEU/TER of the postprocessed hypotheses ------------
-    def stage_evaluate():
-        hyps = C.read_lines(paths["hyp_txt"])
-        refs = C.read_lines(cfg.indomain_target)
-        report = evaluate_corpus(hyps, refs)
-        C.write_text(paths["report"], [report.to_json()])
-
     stages.run("evaluate", [paths["hyp_txt"], cfg.indomain_target], {},
-               [paths["report"]], stage_evaluate)
+               [paths["report"]],
+               lambda: evaluate_files(paths["hyp_txt"], cfg.indomain_target,
+                                      paths["report"]))
 
-    with open(paths["report"], encoding="utf-8") as fh:
-        data = json.load(fh)
-    report = EvalReport(data["bleu"], data["precisions"],
-                        data["brevity_penalty"], data["ter"], data["sentences"])
-    return work, report
+    return work, EvalReport.from_json("\n".join(C.read_lines(paths["report"])))

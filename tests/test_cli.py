@@ -14,7 +14,7 @@ from transference.model import (UNK_ID, Checkpoint, ModelConfig, Vocab,
 from transference.ngram import NGramLM
 from transference.pipeline import prepare_pairs, source_batch
 
-from conftest import write_pipeline_ini, write_world
+from conftest import TOY_PIPELINE_SETTINGS, write_pipeline_ini, write_world
 
 
 def run_cli(*argv):
@@ -222,6 +222,28 @@ class TestErrorCodes:
         assert run_cli("pipeline", "--config", str(ini)) == 2
         err = capsys.readouterr().err
         assert f"{path}: cannot create" in err and "File exists" in err
+
+
+    def test_unreadable_stage_input_is_2_and_named(self, toy_files, tmp_path,
+                                                   capsys):
+        source = tmp_path / "source_dir"
+        source.mkdir()
+        ini = write_pipeline_ini(tmp_path / "c.ini",
+                                 dict(toy_files, general_source=str(source)),
+                                 str(tmp_path / "work"))
+        assert run_cli("pipeline", "--config", str(ini)) == 2
+        err = capsys.readouterr().err
+        assert f"{source}: cannot read" in err and "Is a directory" in err
+
+    def test_unopenable_lock_file_is_2_and_named(self, toy_files, tmp_path,
+                                                 capsys):
+        lock = tmp_path / "work" / ".lock"
+        lock.mkdir(parents=True)
+        ini = write_pipeline_ini(tmp_path / "c.ini", toy_files,
+                                 str(tmp_path / "work"))
+        assert run_cli("pipeline", "--config", str(ini)) == 2
+        err = capsys.readouterr().err
+        assert f"{lock}: cannot open" in err and "Is a directory" in err
 
 
 class TestConfigErrors:
@@ -548,6 +570,39 @@ class TestTrainingCommands:
         for name in ("averaged.tfrx", "averaged.json"):
             assert ((ckpt / name).read_bytes()
                     == (root / "work" / "ckpt" / name).read_bytes()), name
+
+    def test_stage_commands_reproduce_the_pipeline_files(self, pipeline_work,
+                                                        tmp_path):
+        # truecase, bpe and evaluate run the same functions as the
+        # pipeline's stages, so they write the pipeline's bytes
+        root, ini = pipeline_work
+        work = root / "work"
+        commands = [
+            ("truecase-train", "--input", work / "corpus" / "general.src",
+             "--model", tmp_path / "tc.src.tsv"),
+            ("truecase", "--input", work / "corpus" / "general.src",
+             "--model", tmp_path / "tc.src.tsv",
+             "--output", tmp_path / "general.src.tc"),
+            ("bpe-learn", "--inputs", work / "corpus" / "general.src.tc",
+             work / "corpus" / "general.trg.tc",
+             "--vocab-size", TOY_PIPELINE_SETTINGS["bpe"]["vocab_size"],
+             "--output", tmp_path / "merges.txt"),
+            ("bpe-apply", "--merges", tmp_path / "merges.txt",
+             "--input", work / "select" / "validation.src",
+             "--output", tmp_path / "validation.src.bpe"),
+            ("evaluate", "--hyp", work / "out" / "hypotheses.txt",
+             "--ref", root / "dev.trg", "--json", tmp_path / "report.json"),
+        ]
+        for command in commands:
+            assert run_cli(*map(str, command)) == 0, command[0]
+        for mine, theirs in [
+                ("tc.src.tsv", work / "corpus" / "truecase.src.tsv"),
+                ("general.src.tc", work / "corpus" / "general.src.tc"),
+                ("merges.txt", work / "bpe" / "merges.txt"),
+                ("validation.src.bpe", work / "bpe" / "validation.src.bpe"),
+                ("report.json", work / "out" / "report.json")]:
+            assert ((tmp_path / mine).read_bytes()
+                    == theirs.read_bytes()), theirs.name
 
     def test_finetune_from_init_writes_an_average(self, pipeline_work,
                                                   tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from transference.errors import ContractError
-from transference.metrics import (bleu, evaluate_corpus, metric_tokenize,
-                                  ter, _bleu_details, _levenshtein,
-                                  _sentence_edits)
+from transference.metrics import (EvalReport, bleu, evaluate_corpus,
+                                  metric_tokenize, ter, _bleu_details,
+                                  _levenshtein, _sentence_edits)
 
 from oracles import exhaustive_shift_edits, levenshtein_reference
 
@@ -192,6 +192,14 @@ class TestReportAndTokenizer:
         assert all(0.0 <= p <= 1.0 for p in report.precisions)
         payload = report.to_json()
         assert '"bleu": 100.0' in payload and '"ter": 0.0' in payload
+
+    def test_report_json_round_trip(self):
+        payload = evaluate_corpus(["a b c d e", "q w e r t"],
+                                  ["a b c d e f", "q e w r t y"]).to_json()
+        report = EvalReport.from_json(payload)
+        assert report.to_json() == payload
+        assert 0.0 < report.bleu < 100.0 and report.brevity_penalty < 1.0
+        assert report.sentences == 2
 
     def test_deterministic(self):
         hyp = ["a b x d", "q w e"]
