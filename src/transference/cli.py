@@ -7,7 +7,6 @@ stage or computation fails.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -16,11 +15,11 @@ from .bpe import BpeModel, apply_bpe, decode_bpe
 from .errors import ConfigError, TransferenceError
 from .metrics import bleu, ter
 from .model import Checkpoint, Vocab
-from .pipeline import (PipelineConfig, evaluate_files, learn_merges, lm_train,
-                       load_pipeline_config, read_pairs, read_tokens,
-                       run_pipeline, score_corpus, segment_files, select_split,
-                       source_batch, train_model, train_truecaser,
-                       truecase_files, write_pairs)
+from .pipeline import (PipelineConfig, clean_pairs, evaluate_files,
+                       learn_merges, lm_train, load_pipeline_config, map_lines,
+                       read_pairs, read_tokens, run_pipeline, score_corpus,
+                       segment_files, select_split, source_batch, train_model,
+                       train_truecaser, truecase_files)
 from .search import translate_batch_nbest
 from .training import average_checkpoints
 
@@ -28,30 +27,6 @@ from .training import average_checkpoints
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse's exit(2) onto exit code 1
         raise ConfigError(message)
-
-
-def _cmd_normalize(args) -> None:
-    lines = [C.normalize_punctuation(line) for line in C.read_lines(args.input)]
-    C.write_lines(args.output, lines)
-
-
-def _cmd_tokenize(args) -> None:
-    lines = [" ".join(C.tokenize(line, no_escape=not args.escape))
-             for line in C.read_lines(args.input)]
-    C.write_lines(args.output, lines)
-
-
-def _cmd_clean(args) -> None:
-    kept, dropped = C.clean_corpus(read_pairs(args.source, args.target),
-                                   args.min_tokens, args.max_tokens,
-                                   args.max_ratio)
-    write_pairs(kept, args.out_source, args.out_target)
-    print(json.dumps({"kept": len(kept), "dropped": dropped}, sort_keys=True))
-
-
-def _cmd_postprocess(args) -> None:
-    lines = [C.postprocess(toks) for toks in read_tokens(args.input)]
-    C.write_lines(args.output, lines)
 
 
 def _cmd_score(args) -> None:
@@ -66,11 +41,6 @@ def _cmd_select(args) -> None:
                  {name: (f"{args.out_prefix}.{name}.src",
                          f"{args.out_prefix}.{name}.trg")
                   for name in ("validation", "selected", "sorted_all")})
-
-
-def _cmd_bpe_decode(args) -> None:
-    lines = [" ".join(decode_bpe(toks)) for toks in read_tokens(args.input)]
-    C.write_lines(args.output, lines)
 
 
 def _run_training(args, phase: str) -> None:
@@ -133,6 +103,8 @@ def _cmd_translate(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     if args.metric != "both":
+        if args.json:
+            raise ConfigError("--json needs --metric both")
         metric = bleu if args.metric == "bleu" else ter
         score = metric(C.read_lines(args.hyp), C.read_lines(args.ref))
         print(f"{args.metric.upper()} {score:.1f}")
@@ -176,17 +148,25 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=fn)
         return p
 
-    p = sub_parser("normalize", _cmd_normalize, help="punctuation normalization")
+    p = sub_parser("normalize",
+                   lambda a: map_lines(a.input, a.output, C.normalize_punctuation),
+                   help="punctuation normalization")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = sub_parser("tokenize", _cmd_tokenize, help="tokenize normalized text")
+    p = sub_parser("tokenize",
+                   lambda a: map_lines(a.input, a.output, lambda line: " ".join(
+                       C.tokenize(line, no_escape=not a.escape))),
+                   help="tokenize normalized text")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--escape", action="store_true",
                    help="replace special characters by entity escapes")
 
-    p = sub_parser("clean", _cmd_clean,
+    p = sub_parser("clean",
+                   lambda a: print(clean_pairs(
+                       read_pairs(a.source, a.target), (a.out_source, a.out_target),
+                       a.min_tokens, a.max_tokens, a.max_ratio)),
                    help="drop bad pairs from a tokenized parallel corpus")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
@@ -208,7 +188,9 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
 
-    p = sub_parser("postprocess", _cmd_postprocess,
+    p = sub_parser("postprocess",
+                   lambda a: map_lines(a.input, a.output,
+                                       lambda line: C.postprocess(line.split())),
                    help="detokenize and normalize tokens")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
@@ -252,7 +234,10 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = sub_parser("bpe-decode", _cmd_bpe_decode, help="undo BPE segmentation")
+    p = sub_parser("bpe-decode",
+                   lambda a: map_lines(a.input, a.output, lambda line: " ".join(
+                       decode_bpe(line.split()))),
+                   help="undo BPE segmentation")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
@@ -297,7 +282,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--metric", choices=("bleu", "ter", "both"), default="both")
-    p.add_argument("--json", help="write the JSON report to this file")
+    p.add_argument("--json", help="write the JSON report here (--metric both)")
 
     p = sub_parser("pipeline", _cmd_pipeline, help="run every stage end to end")
     p.add_argument("--config", help="INI file; may also be given globally")

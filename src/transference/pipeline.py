@@ -7,16 +7,20 @@ stages whose inputs, parameters, and outputs all match their manifest
 are skipped on rerun.  A changed input re-runs the stage and, because
 its outputs feed later manifests, everything downstream.
 
-The stage functions here (``train_truecaser``, ``truecase_files``,
-``lm_train``, ``score_corpus``, ``select_split``, ``learn_merges``,
-``segment_files``, ``prepare_pairs``, ``source_batch``, ``train_model``,
-``evaluate_files``) take paths in and write paths out; the CLI
-subcommands call the same functions, and read the same config table."""
+The stage functions here (``clean_pairs``, ``train_truecaser``,
+``truecase_files``, ``lm_train``, ``score_corpus``, ``select_split``,
+``learn_merges``, ``segment_files``, ``prepare_pairs``, ``source_batch``,
+``train_model``, ``evaluate_files``) take paths in and write paths out;
+the CLI subcommands call the same functions, and read the same config
+table.  ``map_lines`` is the one read-map-write loop over a text file,
+shared by the stages and the CLI's line commands; ``_run_stage`` is the
+manifest check around each stage of ``run_pipeline``."""
 
 from __future__ import annotations
 
 import configparser
 import fcntl
+import functools
 import hashlib
 import itertools
 import json
@@ -192,6 +196,21 @@ def read_pairs(src_path: str, trg_path: str) -> list[C.SentencePair]:
             for i, (s, t) in enumerate(C.load_parallel(src_path, trg_path))]
 
 
+def map_lines(in_path: str, out_path: str, fn) -> None:
+    """Write ``fn`` of each line of ``in_path`` to ``out_path``."""
+    C.write_lines(out_path, [fn(line) for line in C.read_lines(in_path)])
+
+
+def clean_pairs(pairs: list[C.SentencePair], out: tuple[str, str],
+                min_tokens: int, max_tokens: int, max_ratio: float) -> str:
+    """Write the pairs that corpus cleaning keeps to the (source, target)
+    paths ``out``; returns the JSON report of the kept and dropped
+    counts."""
+    kept, dropped = C.clean_corpus(pairs, min_tokens, max_tokens, max_ratio)
+    write_pairs(kept, *out)
+    return json.dumps({"kept": len(kept), "dropped": dropped}, sort_keys=True)
+
+
 def train_truecaser(corpus_path: str, model_path: str) -> None:
     C.truecase_train(read_tokens(corpus_path)).save(model_path)
 
@@ -200,8 +219,8 @@ def truecase_files(model_path: str, files: list[tuple[str, str]]) -> None:
     """Recase each (input, output) pair of token files with one model."""
     model = C.TruecaseModel.load(model_path)
     for in_path, out_path in files:
-        C.write_lines(out_path, [" ".join(C.truecase_apply(model, toks))
-                                 for toks in read_tokens(in_path)])
+        map_lines(in_path, out_path,
+                  lambda line: " ".join(C.truecase_apply(model, line.split())))
 
 
 def lm_train(corpus_path: str, model_path: str, order: int) -> None:
@@ -280,8 +299,8 @@ def segment_files(merges_path: str, files: list[tuple[str, str]]) -> None:
     table, whose word cache serves them all."""
     model = BpeModel.load(merges_path)
     for in_path, out_path in files:
-        C.write_lines(out_path, [" ".join(apply_bpe(model, toks))
-                                 for toks in read_tokens(in_path)])
+        map_lines(in_path, out_path,
+                  lambda line: " ".join(apply_bpe(model, line.split())))
 
 
 def prepare_pairs(word_vocab: Vocab, bpe_vocab: Vocab, src_bpe_path: str,
@@ -362,43 +381,37 @@ def _make_dir(path: str) -> None:
         raise DataError(f"{path}: cannot create: {exc.strerror}") from None
 
 
-class _Stages:
-    """Runs stages with manifest-based skipping; the manifests go to
-    ``workdir``/manifests, which must exist."""
-
-    def __init__(self, workdir: str, verbose: bool = False):
-        self.manifest_dir = os.path.join(workdir, "manifests")
-        self.verbose = verbose
-
-    def run(self, name: str, inputs: list[str], params: dict,
-            outputs: list[str], fn) -> None:
-        manifest_path = os.path.join(self.manifest_dir, f"{name}.json")
-        params_blob = json.dumps(params, sort_keys=True)
-        want = {
-            "inputs": {p: _sha256(p) for p in sorted(inputs)},
-            "params": params_blob,
-        }
-        if os.path.exists(manifest_path) and all(os.path.exists(p) for p in outputs):
-            try:
-                with open(manifest_path, encoding="utf-8") as fh:
-                    have = json.load(fh)
-            except ValueError:      # cut short by a crash: the stage reruns
-                have = None
-            if (isinstance(have, dict)
-                    and have.get("inputs") == want["inputs"]
-                    and have.get("params") == params_blob
-                    and have.get("outputs") == {p: _sha256(p) for p in sorted(outputs)}):
-                if self.verbose:
-                    print(f"[pipeline] {name}: up to date, skipped")
-                return
-        if self.verbose:
-            print(f"[pipeline] {name}: running")
+def _run_stage(manifest_dir: str, verbose: bool, name: str, inputs: list[str],
+               params: dict, outputs: list[str], fn) -> None:
+    """Run ``fn`` unless ``manifest_dir``/``name``.json records the same
+    hashes of ``inputs`` and ``outputs`` and the same ``params``; then
+    record them there.  A manifest that cannot be opened or parsed is
+    stale."""
+    manifest_path = os.path.join(manifest_dir, f"{name}.json")
+    params_blob = json.dumps(params, sort_keys=True)
+    want = {"inputs": {p: _sha256(p) for p in sorted(inputs)},
+            "params": params_blob}
+    if os.path.exists(manifest_path) and all(os.path.exists(p) for p in outputs):
         try:
-            fn()
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-        want["outputs"] = {p: _sha256(p) for p in sorted(outputs)}
-        C.write_text(manifest_path, [json.dumps(want, indent=2, sort_keys=True)])
+            with open(manifest_path, encoding="utf-8") as fh:
+                have = json.load(fh)
+        except (OSError, ValueError):  # a directory, or cut short by a crash
+            have = None
+        if (isinstance(have, dict)
+                and have.get("inputs") == want["inputs"]
+                and have.get("params") == params_blob
+                and have.get("outputs") == {p: _sha256(p) for p in sorted(outputs)}):
+            if verbose:
+                print(f"[pipeline] {name}: up to date, skipped")
+            return
+    if verbose:
+        print(f"[pipeline] {name}: running")
+    try:
+        fn()
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    want["outputs"] = {p: _sha256(p) for p in sorted(outputs)}
+    C.write_text(manifest_path, [json.dumps(want, indent=2, sort_keys=True)])
 
 
 def run_pipeline(cfg: PipelineConfig, verbose: bool = False
@@ -427,140 +440,96 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
     work = cfg.workdir
     for sub in ("corpus", "lm", "select", "bpe", "ckpt", "out", "manifests"):
         _make_dir(os.path.join(work, sub))
-    stages = _Stages(work, verbose)
-    paths = {
-        "gen_src": os.path.join(work, "corpus", "general.src"),
-        "gen_trg": os.path.join(work, "corpus", "general.trg"),
-        "dev_src": os.path.join(work, "corpus", "indomain.src"),
-        "dev_trg": os.path.join(work, "corpus", "indomain.trg"),
-        "tc_src": os.path.join(work, "corpus", "truecase.src.tsv"),
-        "tc_trg": os.path.join(work, "corpus", "truecase.trg.tsv"),
-        "clean_report": os.path.join(work, "corpus", "clean_report.json"),
-        "lm_i_src": os.path.join(work, "lm", "in_domain.src.json"),
-        "lm_i_trg": os.path.join(work, "lm", "in_domain.trg.json"),
-        "lm_o_src": os.path.join(work, "lm", "out_domain.src.json"),
-        "lm_o_trg": os.path.join(work, "lm", "out_domain.trg.json"),
-        "scores": os.path.join(work, "select", "scores.tsv"),
-        "merges": os.path.join(work, "bpe", "merges.txt"),
-        "bpe_vocab": os.path.join(work, "bpe", "bpe.vocab"),
-        "word_vocab": os.path.join(work, "bpe", "word.vocab"),
-        "ckpt_dir": os.path.join(work, "ckpt"),
-        "averaged": os.path.join(work, "ckpt", "averaged.tfrx"),
-        "loss_log": os.path.join(work, "ckpt", "loss_log.csv"),
-        "hyp_bpe": os.path.join(work, "out", "hypotheses.bpe"),
-        "hyp_txt": os.path.join(work, "out", "hypotheses.txt"),
-        "report": os.path.join(work, "out", "report.json"),
-    }
-    # (source, target) token files of each split the bpe stage segments
-    splits = {name: tuple(os.path.join(work, "select", f"{name}.{side}")
-                          for side in ("src", "trg"))
-              for name in ("validation", "selected", "sorted_all")}
-    # (source, target) BPE files of each split the bpe stage writes
-    bpe_paths = {name: tuple(os.path.join(work, "bpe", f"{name}.{side}.bpe")
-                             for side in ("src", "trg"))
-                 for name in ("sorted_all", "selected", "validation", "indomain")}
+    stage = functools.partial(_run_stage, os.path.join(work, "manifests"), verbose)
+
+    def sides(sub: str, pattern: str) -> tuple[str, str]:
+        """The (source, target) files ``pattern`` names in ``sub``."""
+        return tuple(os.path.join(work, sub, pattern.format(side))
+                     for side in ("src", "trg"))
 
     # -- clean: normalize + tokenize + corpus cleaning -----------------
-    def stage_clean():
-        general = C.preprocess_parallel(
-            C.load_parallel(cfg.general_source, cfg.general_target))
-        kept, dropped = C.clean_corpus(general, cfg.min_tokens,
-                                       cfg.max_tokens, cfg.max_ratio)
-        write_pairs(kept, paths["gen_src"], paths["gen_trg"])
-        dev = C.preprocess_parallel(
-            C.load_parallel(cfg.indomain_source, cfg.indomain_target))
-        write_pairs(dev, paths["dev_src"], paths["dev_trg"])
-        C.write_text(paths["clean_report"],
-                     [json.dumps({"kept": len(kept), "dropped": dropped}, sort_keys=True)])
+    general, indomain = sides("corpus", "general.{}"), sides("corpus", "indomain.{}")
+    clean_report = os.path.join(work, "corpus", "clean_report.json")
 
-    stages.run("clean",
-               [cfg.general_source, cfg.general_target,
-                cfg.indomain_source, cfg.indomain_target],
-               {"min_tokens": cfg.min_tokens, "max_tokens": cfg.max_tokens,
-                "max_ratio": cfg.max_ratio},
-               [paths["gen_src"], paths["gen_trg"], paths["dev_src"],
-                paths["dev_trg"], paths["clean_report"]],
-               stage_clean)
+    def stage_clean():
+        report = clean_pairs(C.preprocess_parallel(C.load_parallel(
+            cfg.general_source, cfg.general_target)), general, cfg.min_tokens,
+            cfg.max_tokens, cfg.max_ratio)
+        write_pairs(C.preprocess_parallel(C.load_parallel(
+            cfg.indomain_source, cfg.indomain_target)), *indomain)
+        C.write_text(clean_report, [report])
+
+    stage("clean", [getattr(cfg, key) for key in DATA_KEYS],
+          {"min_tokens": cfg.min_tokens, "max_tokens": cfg.max_tokens,
+           "max_ratio": cfg.max_ratio},
+          [*general, *indomain, clean_report], stage_clean)
 
     # -- truecase: train per-language on the cleaned general corpus ----
-    def stage_truecase():
-        for side in ("src", "trg"):
-            train_truecaser(paths[f"gen_{side}"], paths[f"tc_{side}"])
-            truecase_files(paths[f"tc_{side}"],
-                           [(path, path + ".tc") for path
-                            in (paths[f"gen_{side}"], paths[f"dev_{side}"])])
+    truecasers = sides("corpus", "truecase.{}.tsv")
+    general_tc = sides("corpus", "general.{}.tc")
+    indomain_tc = sides("corpus", "indomain.{}.tc")
 
-    truecase_outputs = [paths["tc_src"], paths["tc_trg"]] + [
-        p + ".tc" for p in (paths["gen_src"], paths["gen_trg"],
-                            paths["dev_src"], paths["dev_trg"])]
-    stages.run("truecase",
-               [paths["gen_src"], paths["gen_trg"],
-                paths["dev_src"], paths["dev_trg"]],
-               {}, truecase_outputs, stage_truecase)
+    def stage_truecase():
+        for side, model in enumerate(truecasers):
+            train_truecaser(general[side], model)
+            truecase_files(model, [(general[side], general_tc[side]),
+                                   (indomain[side], indomain_tc[side])])
+
+    stage("truecase", [*general, *indomain], {},
+          [*truecasers, *general_tc, *indomain_tc], stage_truecase)
 
     # -- lm_train: in-domain and out-domain models per language --------
-    lm_corpora = {"lm_i_src": paths["dev_src"] + ".tc",
-                  "lm_i_trg": paths["dev_trg"] + ".tc",
-                  "lm_o_src": paths["gen_src"] + ".tc",
-                  "lm_o_trg": paths["gen_trg"] + ".tc"}
+    lm_in, lm_out = sides("lm", "in_domain.{}.json"), sides("lm", "out_domain.{}.json")
 
     def stage_lm():
-        for key, corpus_path in lm_corpora.items():
-            lm_train(corpus_path, paths[key], cfg.lm_order)
+        for corpus_path, model in zip(indomain_tc + general_tc, lm_in + lm_out):
+            lm_train(corpus_path, model, cfg.lm_order)
 
-    stages.run("lm_train", list(lm_corpora.values()), {"order": cfg.lm_order},
-               [paths[key] for key in lm_corpora], stage_lm)
+    stage("lm_train", [*indomain_tc, *general_tc], {"order": cfg.lm_order},
+          [*lm_in, *lm_out], stage_lm)
 
     # -- score: bilingual cross-entropy difference per pair ------------
-    lm_paths = tuple(paths[key] for key in
-                     ("lm_i_src", "lm_o_src", "lm_i_trg", "lm_o_trg"))
-    stages.run("score",
-               [paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc",
-                *lm_paths], {}, [paths["scores"]],
-               lambda: score_corpus(paths["gen_src"] + ".tc",
-                                    paths["gen_trg"] + ".tc", lm_paths,
-                                    paths["scores"]))
+    lm_paths = (lm_in[0], lm_out[0], lm_in[1], lm_out[1])
+    scores = os.path.join(work, "select", "scores.tsv")
+    stage("score", [*general_tc, *lm_paths], {}, [scores],
+          lambda: score_corpus(*general_tc, lm_paths, scores))
 
     # -- select: rank ascending, split validation / selected / all -----
-    stages.run("select",
-               [paths["scores"], paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc"],
-               {"n_validation": cfg.n_validation, "n_select": cfg.n_select},
-               [p for name in ("validation", "selected", "sorted_all")
-                for p in splits[name]],
-               lambda: select_split(paths["scores"], paths["gen_src"] + ".tc",
-                                    paths["gen_trg"] + ".tc", cfg.n_validation,
-                                    cfg.n_select, splits))
+    validation, selected, sorted_all = (sides("select", f"{name}.{{}}") for name
+                                        in ("validation", "selected", "sorted_all"))
+    stage("select", [scores, *general_tc],
+          {"n_validation": cfg.n_validation, "n_select": cfg.n_select},
+          [*validation, *selected, *sorted_all],
+          lambda: select_split(scores, *general_tc, cfg.n_validation, cfg.n_select,
+                               dict(validation=validation, selected=selected,
+                                    sorted_all=sorted_all)))
 
     # -- bpe: learn joint merges, build vocabularies, apply ------------
-    split_tokens = {**splits, "indomain": (paths["dev_src"] + ".tc",
-                                           paths["dev_trg"] + ".tc")}
+    merges, bpe_vocab, word_vocab = (os.path.join(work, "bpe", name) for name
+                                     in ("merges.txt", "bpe.vocab", "word.vocab"))
+    validation_bpe, selected_bpe, sorted_all_bpe, indomain_bpe = (
+        sides("bpe", f"{name}.{{}}.bpe")
+        for name in ("validation", "selected", "sorted_all", "indomain"))
+    token_files = validation + selected + sorted_all + indomain_tc
+    bpe_files = validation_bpe + selected_bpe + sorted_all_bpe + indomain_bpe
 
     def stage_bpe():
-        learn_merges([paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc"],
-                     paths["merges"], cfg.bpe_vocab)
-        segment_files(paths["merges"],
-                      [pair for split in split_tokens
-                       for pair in zip(split_tokens[split], bpe_paths[split])])
-        src_bpe, trg_bpe = bpe_paths["sorted_all"]
-        Vocab.from_corpus(read_tokens(src_bpe)
-                          + read_tokens(trg_bpe)).save(paths["bpe_vocab"])
-        Vocab.from_corpus(read_tokens(splits["sorted_all"][0]),
-                          max_size=cfg.word_vocab).save(paths["word_vocab"])
+        learn_merges(general_tc, merges, cfg.bpe_vocab)
+        segment_files(merges, list(zip(token_files, bpe_files)))
+        Vocab.from_corpus(read_tokens(sorted_all_bpe[0])
+                          + read_tokens(sorted_all_bpe[1])).save(bpe_vocab)
+        Vocab.from_corpus(read_tokens(sorted_all[0]),
+                          max_size=cfg.word_vocab).save(word_vocab)
 
-    stages.run("bpe",
-               [paths["gen_src"] + ".tc", paths["gen_trg"] + ".tc",
-                *(p for pair in split_tokens.values() for p in pair)],
-               {"vocab_size": cfg.bpe_vocab, "word_vocab": cfg.word_vocab},
-               [paths["merges"], paths["bpe_vocab"], paths["word_vocab"],
-                *(p for pair in bpe_paths.values() for p in pair)],
-               stage_bpe)
+    stage("bpe", [*general_tc, *token_files],
+          {"vocab_size": cfg.bpe_vocab, "word_vocab": cfg.word_vocab},
+          [merges, bpe_vocab, word_vocab, *bpe_files], stage_bpe)
 
     # -- the in-domain source as the translate stage decodes it; a line it
     # cannot decode fails the run here, before training spends its time
     def indomain_batch() -> SourceBatch:
-        return source_batch(Vocab.load(paths["word_vocab"]),
-                            Vocab.load(paths["bpe_vocab"]),
-                            read_tokens(bpe_paths["indomain"][0]))
+        return source_batch(Vocab.load(word_vocab), Vocab.load(bpe_vocab),
+                            read_tokens(indomain_bpe[0]))
 
     try:
         check_source(indomain_batch(), cfg.model.max_positions)
@@ -568,53 +537,41 @@ def _run_pipeline_locked(cfg: PipelineConfig, verbose: bool
         raise StageError("translate", exc) from exc
 
     # -- train: generic phase then fine-tuning, then averaging ---------
-    train_inputs = [paths["word_vocab"], paths["bpe_vocab"]] + [
-        path for split in ("sorted_all", "selected", "validation")
-        for path in bpe_paths[split]]
-    train_params = {
-        "model": {**cfg.model.to_dict(), "bpe_vocab_size": 0, "word_vocab_size": 0},
-        "generic": vars(cfg.train_generic).copy(),
-        "finetune": vars(cfg.train_finetune).copy(),
-        "seed": cfg.seed,
-    }
-    stages.run("train", train_inputs, train_params,
-               [paths["averaged"], paths["loss_log"]],
-               lambda: train_model(cfg, paths["word_vocab"], paths["bpe_vocab"],
-                                   bpe_paths["sorted_all"],
-                                   bpe_paths["selected"],
-                                   bpe_paths["validation"], paths["ckpt_dir"],
-                                   log_path=paths["loss_log"], verbose=verbose))
+    ckpt_dir = os.path.join(work, "ckpt")
+    averaged, loss_log = (os.path.join(ckpt_dir, name)
+                          for name in ("averaged.tfrx", "loss_log.csv"))
+    train_params = {"model": {**cfg.model.to_dict(), "bpe_vocab_size": 0,
+                              "word_vocab_size": 0},
+                    "generic": vars(cfg.train_generic),
+                    "finetune": vars(cfg.train_finetune), "seed": cfg.seed}
+    stage("train", [word_vocab, bpe_vocab, *sorted_all_bpe, *selected_bpe,
+                    *validation_bpe], train_params, [averaged, loss_log],
+          lambda: train_model(cfg, word_vocab, bpe_vocab, sorted_all_bpe,
+                              selected_bpe, validation_bpe, ckpt_dir,
+                              log_path=loss_log, verbose=verbose))
 
     # -- translate: beam-decode the in-domain source -------------------
-    def stage_translate():
-        bpe_vocab = Vocab.load(paths["bpe_vocab"])
-        checkpoint = Checkpoint.load(paths["averaged"])
-        hyp_ids = translate_batch(checkpoint, indomain_batch(), beam=cfg.beam,
-                                  max_len=cfg.decode_max_len,
-                                  length_alpha=cfg.length_alpha)
-        hyp_lines = [" ".join(bpe_vocab.decode(ids)) for ids in hyp_ids]
-        C.write_lines(paths["hyp_bpe"], hyp_lines)
+    hyp_bpe, hyp_txt, report = (os.path.join(work, "out", name) for name
+                                in ("hypotheses.bpe", "hypotheses.txt", "report.json"))
 
-    stages.run("translate",
-               [paths["averaged"], paths["word_vocab"], paths["bpe_vocab"],
-                bpe_paths["indomain"][0]],
-               {"beam": cfg.beam, "max_len": cfg.decode_max_len,
-                "length_alpha": cfg.length_alpha},
-               [paths["hyp_bpe"]], stage_translate)
+    def stage_translate():
+        vocab = Vocab.load(bpe_vocab)
+        hyp_ids = translate_batch(Checkpoint.load(averaged), indomain_batch(),
+                                  beam=cfg.beam, max_len=cfg.decode_max_len,
+                                  length_alpha=cfg.length_alpha)
+        C.write_lines(hyp_bpe, [" ".join(vocab.decode(ids)) for ids in hyp_ids])
+
+    stage("translate", [averaged, word_vocab, bpe_vocab, indomain_bpe[0]],
+          {"beam": cfg.beam, "max_len": cfg.decode_max_len,
+           "length_alpha": cfg.length_alpha}, [hyp_bpe], stage_translate)
 
     # -- postprocess: undo BPE, detokenize, normalize ------------------
-    def stage_postprocess():
-        lines = [C.postprocess(decode_bpe(subwords))
-                 for subwords in read_tokens(paths["hyp_bpe"])]
-        C.write_lines(paths["hyp_txt"], lines)
-
-    stages.run("postprocess", [paths["hyp_bpe"]], {},
-               [paths["hyp_txt"]], stage_postprocess)
+    stage("postprocess", [hyp_bpe], {}, [hyp_txt],
+          lambda: map_lines(hyp_bpe, hyp_txt,
+                            lambda line: C.postprocess(decode_bpe(line.split()))))
 
     # -- evaluate: BLEU/TER of the postprocessed hypotheses ------------
-    stages.run("evaluate", [paths["hyp_txt"], cfg.indomain_target], {},
-               [paths["report"]],
-               lambda: evaluate_files(paths["hyp_txt"], cfg.indomain_target,
-                                      paths["report"]))
+    stage("evaluate", [hyp_txt, cfg.indomain_target], {}, [report],
+          lambda: evaluate_files(hyp_txt, cfg.indomain_target, report))
 
-    return work, EvalReport.from_json("\n".join(C.read_lines(paths["report"])))
+    return work, EvalReport.from_json("\n".join(C.read_lines(report)))

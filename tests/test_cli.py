@@ -138,6 +138,15 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "BLEU" in out and "TER" not in out
 
+    def test_json_report_needs_both_metrics(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        write_lines(str(hyp), ["a b"])
+        json_path = tmp_path / "report.json"
+        assert run_cli("evaluate", "--hyp", str(hyp), "--ref", str(hyp),
+                       "--metric", "bleu", "--json", str(json_path)) == 1
+        assert "--json" in capsys.readouterr().err
+        assert not json_path.exists()
+
 
 class TestAverageCommand:
     def test_average(self, tmp_path):
@@ -244,6 +253,22 @@ class TestErrorCodes:
         assert run_cli("pipeline", "--config", str(ini)) == 2
         err = capsys.readouterr().err
         assert f"{lock}: cannot open" in err and "Is a directory" in err
+
+    def test_manifest_that_is_a_directory_is_2_and_named(self, toy_files,
+                                                         tmp_path, capsys):
+        # a manifest that cannot be opened is stale, like a truncated one:
+        # the stage reruns and writing its manifest fails, naming it
+        work = tmp_path / "work"
+        (work / "corpus").mkdir(parents=True)
+        for name in ("general.src", "general.trg", "indomain.src",
+                     "indomain.trg", "clean_report.json"):
+            (work / "corpus" / name).write_text("")
+        manifest = work / "manifests" / "clean.json"
+        manifest.mkdir(parents=True)
+        ini = write_pipeline_ini(tmp_path / "c.ini", toy_files, str(work))
+        assert run_cli("pipeline", "--config", str(ini)) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: cannot write" in err and "Is a directory" in err
 
 
 class TestConfigErrors:
@@ -572,12 +597,24 @@ class TestTrainingCommands:
                     == (root / "work" / "ckpt" / name).read_bytes()), name
 
     def test_stage_commands_reproduce_the_pipeline_files(self, pipeline_work,
-                                                        tmp_path):
-        # truecase, bpe and evaluate run the same functions as the
+                                                        tmp_path, capsys):
+        # clean, truecase, bpe and evaluate run the same functions as the
         # pipeline's stages, so they write the pipeline's bytes
         root, ini = pipeline_work
         work = root / "work"
+        clean = TOY_PIPELINE_SETTINGS["clean"]
         commands = [
+            *[("normalize", "--input", root / f"general.{side}",
+               "--output", tmp_path / f"norm.{side}") for side in ("src", "trg")],
+            *[("tokenize", "--input", tmp_path / f"norm.{side}",
+               "--output", tmp_path / f"tok.{side}") for side in ("src", "trg")],
+            ("clean", "--source", tmp_path / "tok.src",
+             "--target", tmp_path / "tok.trg",
+             "--out-source", tmp_path / "general.src",
+             "--out-target", tmp_path / "general.trg",
+             "--min-tokens", clean["min_tokens"],
+             "--max-tokens", clean["max_tokens"],
+             "--max-ratio", clean["max_ratio"]),
             ("truecase-train", "--input", work / "corpus" / "general.src",
              "--model", tmp_path / "tc.src.tsv"),
             ("truecase", "--input", work / "corpus" / "general.src",
@@ -593,9 +630,15 @@ class TestTrainingCommands:
             ("evaluate", "--hyp", work / "out" / "hypotheses.txt",
              "--ref", root / "dev.trg", "--json", tmp_path / "report.json"),
         ]
+        capsys.readouterr()
         for command in commands:
             assert run_cli(*map(str, command)) == 0, command[0]
+        # clean is the first command that prints
+        assert (capsys.readouterr().out.splitlines()[0]
+                == (work / "corpus" / "clean_report.json").read_text())
         for mine, theirs in [
+                ("general.src", work / "corpus" / "general.src"),
+                ("general.trg", work / "corpus" / "general.trg"),
                 ("tc.src.tsv", work / "corpus" / "truecase.src.tsv"),
                 ("general.src.tc", work / "corpus" / "general.src.tc"),
                 ("merges.txt", work / "bpe" / "merges.txt"),

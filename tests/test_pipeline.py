@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from transference.errors import ConfigError, StageError
-from transference.pipeline import load_pipeline_config, run_pipeline
+from transference.pipeline import (DATA_KEYS, load_pipeline_config,
+                                   run_pipeline)
 from transference.corpus import read_lines
 
 from conftest import write_pipeline_ini, write_world
@@ -21,6 +22,47 @@ def small_overrides(**extra):
             "select": {"n_validation": "8", "n_select": "60"}}
     base.update(extra)
     return base
+
+
+def _both(pattern):
+    return [pattern.format(side) for side in ("src", "trg")]
+
+
+_DATA = ["[data] general_source", "[data] general_target",
+         "[data] indomain_source", "[data] indomain_target"]
+_TC = _both("corpus/general.{}.tc") + _both("corpus/indomain.{}.tc")
+_SPLITS = [p for name in ("validation", "selected", "sorted_all")
+           for p in _both(f"select/{name}.{{}}")]
+_VOCABS = ["bpe/word.vocab", "bpe/bpe.vocab"]
+_TRAIN_BPE = [p for name in ("sorted_all", "selected", "validation")
+              for p in _both(f"bpe/{name}.{{}}.bpe")]
+
+# stage -> (inputs, sorted params keys, outputs), paths relative to the
+# work directory
+MANIFEST_FILES = {
+    "clean": (_DATA, ["max_ratio", "max_tokens", "min_tokens"],
+              _both("corpus/general.{}") + _both("corpus/indomain.{}")
+              + ["corpus/clean_report.json"]),
+    "truecase": (_both("corpus/general.{}") + _both("corpus/indomain.{}"), [],
+                 _both("corpus/truecase.{}.tsv") + _TC),
+    "lm_train": (_TC, ["order"],
+                 _both("lm/in_domain.{}.json") + _both("lm/out_domain.{}.json")),
+    "score": (_both("corpus/general.{}.tc") + _both("lm/in_domain.{}.json")
+              + _both("lm/out_domain.{}.json"), [], ["select/scores.tsv"]),
+    "select": (["select/scores.tsv"] + _both("corpus/general.{}.tc"),
+               ["n_select", "n_validation"], _SPLITS),
+    "bpe": (_TC + _SPLITS, ["vocab_size", "word_vocab"],
+            ["bpe/merges.txt"] + _VOCABS + _TRAIN_BPE
+            + _both("bpe/indomain.{}.bpe")),
+    "train": (_VOCABS + _TRAIN_BPE, ["finetune", "generic", "model", "seed"],
+              ["ckpt/averaged.tfrx", "ckpt/loss_log.csv"]),
+    "translate": (["ckpt/averaged.tfrx", "bpe/indomain.src.bpe"] + _VOCABS,
+                  ["beam", "length_alpha", "max_len"],
+                  ["out/hypotheses.bpe"]),
+    "postprocess": (["out/hypotheses.bpe"], [], ["out/hypotheses.txt"]),
+    "evaluate": (["out/hypotheses.txt", "[data] indomain_target"], [],
+                 ["out/report.json"]),
+}
 
 
 @pytest.fixture()
@@ -101,6 +143,26 @@ class TestRunPipeline:
         assert "select: up to date, skipped" in out
         json.loads(Path(workdir, "manifests", "score.json").read_text())
         assert Path(workdir, "out", "report.json").read_bytes() == report
+
+    def test_manifests_hash_each_stage_files(self, toy_config):
+        # a stage that stopped hashing a file it reads would skip stale
+        # data on a rerun without failing anything else
+        cfg = load_pipeline_config(toy_config)
+        workdir, _ = run_pipeline(cfg)
+        data = {getattr(cfg, key): f"[data] {key}" for key in DATA_KEYS}
+
+        def names(paths):
+            return sorted(data.get(p) or os.path.relpath(p, workdir)
+                          for p in paths)
+
+        for stage, (inputs, params, outputs) in MANIFEST_FILES.items():
+            manifest = json.loads(
+                Path(workdir, "manifests", f"{stage}.json").read_text())
+            assert names(manifest["inputs"]) == sorted(inputs), stage
+            assert sorted(json.loads(manifest["params"])) == params, stage
+            assert names(manifest["outputs"]) == sorted(outputs), stage
+        assert (sorted(os.listdir(Path(workdir, "manifests")))
+                == sorted(f"{stage}.json" for stage in MANIFEST_FILES))
 
     def test_validation_bigger_than_corpus_fails_at_select(self, toy_files,
                                                            tmp_path):
