@@ -68,6 +68,8 @@ def _cmd_average(args) -> None:
 
 
 def _cmd_translate(args) -> None:
+    if args.nbest is not None and args.nbest < 1:
+        raise ConfigError(f"--nbest must be >= 1, got {args.nbest}")
     word_vocab = Vocab.load(args.word_vocab)
     bpe_vocab = Vocab.load(args.bpe_vocab)
     checkpoint = Checkpoint.load(args.checkpoint)

@@ -170,15 +170,20 @@ def postprocess_text(text: str) -> str:
 
 
 def read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file; a file that cannot be opened or is
-    not UTF-8 raises DataError naming it."""
+    """The lines of a UTF-8 text file, split at LF only: a CR just before
+    a line's end is dropped, so CRLF files read as LF files, and any other
+    CR stays inside its line.  A file that cannot be opened or is not
+    UTF-8 raises DataError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def write_text(path: str, chunks: Iterable[str]) -> None:

@@ -10,7 +10,7 @@ subword encoder's.
 
 from __future__ import annotations
 
-import copy
+import functools
 import json
 import math
 from collections import Counter
@@ -208,6 +208,18 @@ def causal_attention_mask(length: int, dtype=np.float32) -> np.ndarray:
     return mask[None, None, :, :]
 
 
+@functools.lru_cache(maxsize=None)
+def _tables(d_model: int, max_positions: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only positional table [max_positions + 1, d_model] and
+    causal mask [1, 1, max_positions + 1, max_positions + 1] of one model
+    shape; every forward slices the positions it covers from them."""
+    n = max_positions + 1
+    tables = (positional_encoding(n, d_model, n, dtype), causal_attention_mask(n, dtype))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          mask: np.ndarray | Tensor | None = None,
                          heads: int | None = None) -> Tensor:
@@ -271,14 +283,16 @@ def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 
 def _embed(table: Tensor, ids: np.ndarray, cfg: ModelConfig,
-           training: bool, rng, positions: np.ndarray | None = None) -> Tensor:
-    """Scaled embeddings of ``ids`` plus ``positions``, by default the
-    positional encoding of positions 0, 1, ..."""
+           training: bool, rng, start: int = 0) -> Tensor:
+    """Scaled embeddings of ``ids`` plus the positional encoding of
+    positions ``start``, ``start + 1``, ..."""
     x = T.scale(T.embedding(table, ids), math.sqrt(cfg.d_model))
-    if positions is None:
-        positions = positional_encoding(ids.shape[-1], cfg.d_model,
-                                        cfg.max_positions + 1, dtype=table.data.dtype)
-    x = T.add(x, T.constant(positions))
+    positions = _tables(cfg.d_model, cfg.max_positions, table.dtype)[0]
+    end = start + ids.shape[-1]
+    if end > len(positions):
+        raise ContractError(
+            f"sequence length {end} exceeds max positions {len(positions)}")
+    x = T.add(x, T.constant(positions[start:end]))
     return T.dropout(x, cfg.dropout, training, rng)
 
 
@@ -350,29 +364,32 @@ def encode(config: ModelConfig, params: dict[str, Tensor],
 
 class DecoderCache:
     """Decoder state for decoding one position at a time with
-    ``decode_forward``.
+    ``decode_forward`` against ``encoded``.
 
     Per decoder layer it holds the self-attention keys and values of
     every position decoded so far, in arrays [rows, capacity, d_model]
-    allocated once.  ``ids`` records the decoded token ids.  On first use
-    it takes what stays fixed while decoding: the cross-attention keys and
-    values of the bridge output, [sources, src_len, d_model] each, the
-    cross-attention padding mask, the positional table and the causal
-    mask, which each step slices.
+    allocated once, and the cross-attention keys and values of the bridge
+    output, [sources, src_len, d_model] each, projected once.  ``ids``
+    records the decoded token ids.
     Consecutive groups of rows decode the same source sentence: with n
     sources, row r reads source r // (rows // n).
     """
 
-    def __init__(self, config: ModelConfig, rows: int, capacity: int,
-                 dtype=np.float32):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor],
+                 encoded: EncodedSource, rows: int, capacity: int):
+        memory = encoded.enc12_out
+        if rows % memory.shape[0]:
+            raise ContractError(
+                f"a cache of {rows} rows cannot split evenly over "
+                f"{memory.shape[0]} sources")
         shape = (rows, capacity, config.d_model)
         self.ids = np.full((rows, capacity), PAD_ID, dtype=np.int64)
-        self.keys = [np.empty(shape, dtype) for _ in range(config.n_layers_dec)]
-        self.values = [np.empty(shape, dtype) for _ in range(config.n_layers_dec)]
-        self.cross: list[tuple[Tensor, Tensor]] | None = None
-        self.cross_mask: np.ndarray | None = None
-        self.positions: np.ndarray | None = None
-        self.causal: np.ndarray | None = None
+        self.keys = [np.empty(shape, memory.dtype) for _ in range(config.n_layers_dec)]
+        self.values = [np.empty(shape, memory.dtype) for _ in range(config.n_layers_dec)]
+        self.cross = [tuple(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"])
+                            for w in ("wk", "wv"))
+                      for prefix in _layer_prefixes(config, "decoder")]
+        self.cross_mask = padding_attention_mask(encoded.f_s_pad, memory.dtype)
         self.length = 0
 
     @property
@@ -386,29 +403,6 @@ class DecoderCache:
         self.ids[:, :n] = self.ids[parents, :n]
         for arr in self.keys + self.values:
             arr[:, :n] = arr[parents, :n]
-
-    def copy(self) -> "DecoderCache":
-        """An independent copy; the read-only cross-attention projections,
-        masks and positional table are shared."""
-        twin = copy.copy(self)
-        twin.ids = self.ids.copy()
-        twin.keys = [a.copy() for a in self.keys]
-        twin.values = [a.copy() for a in self.values]
-        return twin
-
-
-def _prime(cache: DecoderCache, config: ModelConfig, params: dict[str, Tensor],
-           encoded: EncodedSource, dtype) -> None:
-    """Fill in ``cache``'s fixed parts for decoding against ``encoded``."""
-    memory = encoded.enc12_out
-    cache.cross = [tuple(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"])
-                         for w in ("wk", "wv"))
-                   for prefix in _layer_prefixes(config, "decoder")]
-    cache.cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
-    length = min(cache.ids.shape[1], config.max_positions + 1)
-    cache.positions = positional_encoding(length, config.d_model,
-                                          config.max_positions + 1, dtype=dtype)
-    cache.causal = causal_attention_mask(length, dtype)
 
 
 def decode_forward(config: ModelConfig, params: dict[str, Tensor],
@@ -436,27 +430,20 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
     if ids.size and ids.max() >= config.bpe_vocab_size:
         raise ContractError("target ids exceed the BPE vocabulary")
     dtype = params["embed/bpe"].data.dtype
-    memory = encoded.enc12_out
+    mask = _tables(config.d_model, config.max_positions, dtype)[1][:, :, start:end, :end]
     if cache is None:
-        positions = None
-        mask = causal_attention_mask(end, dtype)
         cross_mask = padding_attention_mask(encoded.f_s_pad, dtype)
     else:
-        if ids.shape[0] != cache.rows or cache.rows % memory.shape[0]:
+        if ids.shape[0] != cache.rows:
             raise ContractError(
-                f"{ids.shape[0]} target rows for a cache of {cache.rows} rows "
-                f"over {memory.shape[0]} sources")
+                f"{ids.shape[0]} target rows for a cache of {cache.rows} rows")
         if end > cache.ids.shape[1]:
             raise ContractError(
                 f"target length {end} exceeds the cache's {cache.ids.shape[1]} positions")
-        if cache.cross is None:
-            _prime(cache, config, params, encoded, dtype)
         cache.ids[:, start:end] = ids
-        positions = cache.positions[start:end]
-        mask = cache.causal[:, :, start:end, :end]
         cross_mask = cache.cross_mask
 
-    y = _embed(params["embed/bpe"], ids, config, training, rng, positions)
+    y = _embed(params["embed/bpe"], ids, config, training, rng, start)
     for i, prefix in enumerate(_layer_prefixes(config, "decoder")):
         self_kv = cross_kv = None
         if cache is not None:
@@ -466,7 +453,7 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
             self_kv = tuple(T.constant(store[:, :end]) for store in stores)
             cross_kv = cache.cross[i]
         y = _layer(prefix, y, mask, params, config, training, rng,
-                   memory, cross_mask, self_kv, cross_kv)
+                   encoded.enc12_out, cross_mask, self_kv, cross_kv)
 
     if cache is not None:
         cache.length = end

@@ -168,6 +168,9 @@ def rank_and_split(scored: list[ScoredPair], n_val: int = 1000,
     whole remainder after the validation block.  Validation pairs never
     appear in either training set.
     """
+    for name, value in (("n_validation", n_val), ("n_select", n_select)):
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     if len(scored) < n_val + 1:
         raise ConfigError(
             f"corpus of {len(scored)} pairs cannot spare {n_val} validation pairs")

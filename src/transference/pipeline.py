@@ -76,6 +76,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} file not found: {path}")
         if self.n_validation < 1:
             raise ConfigError("n_validation must be >= 1")
+        if self.n_select < 0:
+            raise ConfigError("n_select must be >= 0")
 
 
 def _grad_clip(text: str) -> float | None:

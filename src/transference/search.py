@@ -7,7 +7,9 @@ rows are gathered by parent index after each selection.
 ``beam_search_nbest`` is the same search over a generic "stepper" (anything
 with ``initial()``, ``advance(state, token)`` and ``logprobs(state)``), so
 tests can drive it with stub distributions; ``IncrementalDecoder`` is such
-a stepper over a checkpoint.  Both share the tie-break rules of ``_expand``.
+a stepper over a checkpoint.  It re-runs the decoder over each whole
+prefix and shares no cache with the lockstep search, so it is a reference
+for it.  Both searches share the tie-break rules of ``_expand``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .model import (BOS_ID, Checkpoint, DecoderCache, EOS_ID, EncodedSource,
-                    PAD_ID, SourceBatch, check_source, decode_forward, encode)
+from .model import (BOS_ID, Checkpoint, DecoderCache, EOS_ID, PAD_ID,
+                    SourceBatch, check_source, decode_forward, encode)
 
 # Sentences decoded together: at most _CHUNK_SENTENCES, and fewer when their
 # self-attention caches would pass _CACHE_BYTES.
@@ -107,8 +109,7 @@ def _ranked(pool: list[Hypothesis], length_alpha: float) -> list[Hypothesis]:
 
 
 def beam_search_nbest(stepper, beam: int = 4, max_len: int = 256,
-                      length_alpha: float = 1.0,
-                      eos_id: int = EOS_ID) -> list[Hypothesis]:
+                      length_alpha: float = 1.0) -> list[Hypothesis]:
     """All finished hypotheses plus the unfinished beam at ``max_len``,
     ranked by logprob / length^alpha.  Deterministic: every tie is broken
     by token ids (see ``_expand``)."""
@@ -121,7 +122,7 @@ def beam_search_nbest(stepper, beam: int = 4, max_len: int = 256,
         scores = np.array([logprob for _, logprob, _ in live])
         parents, live = live, []
         for r, t, s, rank in zip(*(a.tolist() for a in _expand(
-                scores, logprobs, 1, beam, eos_id))):
+                scores, logprobs, 1, beam, EOS_ID))):
             tokens, _, state = parents[r]
             if rank < 0:
                 finished.append(Hypothesis(tokens + (t,), s, True))
@@ -134,10 +135,9 @@ def beam_search_nbest(stepper, beam: int = 4, max_len: int = 256,
 
 
 def beam_search(stepper, beam: int = 4, max_len: int = 256,
-                length_alpha: float = 1.0,
-                eos_id: int = EOS_ID) -> Hypothesis:
+                length_alpha: float = 1.0) -> Hypothesis:
     """Best hypothesis under length-normalized log-probability."""
-    ranked = beam_search_nbest(stepper, beam, max_len, length_alpha, eos_id)
+    ranked = beam_search_nbest(stepper, beam, max_len, length_alpha)
     if not ranked:
         raise ContractError("beam search produced no hypotheses")
     return ranked[0]
@@ -150,45 +150,39 @@ def _stable_log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 class _DecoderState(NamedTuple):
-    cache: DecoderCache
+    prefix: tuple[int, ...]       # BOS and the tokens decoded after it
     next_logprobs: np.ndarray
 
     @property
     def length(self) -> int:
-        return self.cache.length
+        return len(self.prefix)
 
 
 class IncrementalDecoder:
     """Single-sentence stepper over a loaded checkpoint: each state holds
-    a one-row ``DecoderCache``, and ``advance`` decodes one position on a
-    copy of it, so the given state never changes and hypotheses can fork
+    its prefix, and ``advance`` runs ``decode_forward`` over the longer
+    prefix from scratch, so states never change and hypotheses can fork
     freely."""
 
-    def __init__(self, checkpoint: Checkpoint, source: SourceBatch,
-                 encoded: EncodedSource | None = None):
+    def __init__(self, checkpoint: Checkpoint, source: SourceBatch):
         if source.f_s.shape[0] != 1:
             raise ContractError("IncrementalDecoder decodes one sentence at a time")
         self.cfg, self.params = checkpoint.config, checkpoint.params
         check_source(source, self.cfg.max_positions)
-        self.encoded = encoded if encoded is not None else encode(
-            self.cfg, self.params, source, training=False)
-        self._empty = DecoderCache(self.cfg, 1, self.cfg.max_positions + 1,
-                                   self.encoded.enc12_out.dtype)
+        self.encoded = encode(self.cfg, self.params, source, training=False)
 
     def initial(self) -> _DecoderState:
-        return self._step(self._empty, BOS_ID)
+        return self._step((BOS_ID,))
 
     def advance(self, state: _DecoderState, token: int) -> _DecoderState:
-        return self._step(state.cache, token)
+        return self._step(state.prefix + (token,))
 
     def logprobs(self, state: _DecoderState) -> np.ndarray:
         return state.next_logprobs
 
-    def _step(self, cache: DecoderCache, token: int) -> _DecoderState:
-        cache = cache.copy()
-        logits = decode_forward(self.cfg, self.params, self.encoded,
-                                np.array([[token]]), cache=cache)
-        return _DecoderState(cache, _stable_log_softmax(logits.data[0, -1]))
+    def _step(self, prefix: tuple[int, ...]) -> _DecoderState:
+        logits = decode_forward(self.cfg, self.params, self.encoded, np.array([prefix]))
+        return _DecoderState(prefix, _stable_log_softmax(logits.data[0, -1]))
 
 
 def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,
@@ -200,7 +194,7 @@ def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,
     encoded = encode(cfg, params, source, training=False)
     n = source.f_s.shape[0]
     rows = n * beam
-    cache = DecoderCache(cfg, rows, max_len + 1, encoded.enc12_out.dtype)
+    cache = DecoderCache(cfg, params, encoded, rows, max_len + 1)
     scores = np.where(np.arange(rows) % beam == 0, 0.0, -np.inf)
     tokens = np.full(rows, BOS_ID)
     pools: list[list[Hypothesis]] = [[] for _ in range(n)]

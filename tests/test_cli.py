@@ -403,6 +403,25 @@ class TestTranslateNbest:
                        "--bpe-vocab", str(tmp_path / "bpe.vocab")) == 2
         assert "log-probabilities contain NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nbest", ["0", "-1"])
+    def test_nbest_below_one_is_1_and_named(self, tmp_path, capsys, nbest):
+        bpe = Vocab(["a</w>", "b</w>", "c"])
+        words = Vocab(["a", "b"])
+        cfg = ModelConfig(bpe_vocab_size=len(bpe), word_vocab_size=len(words),
+                          n_layers_fw=1, n_layers_fs=1, n_layers_es=1,
+                          n_layers_dec=1, d_model=8, d_ff=16, heads=2,
+                          dropout=0.0, max_positions=6)
+        init_params(cfg, seed=3).save(str(tmp_path / "m.tfrx"))
+        bpe.save(str(tmp_path / "bpe.vocab"))
+        words.save(str(tmp_path / "word.vocab"))
+        write_lines(str(tmp_path / "in.bpe"), ["a</w> b</w>"])
+        assert run_cli("translate", "--checkpoint", str(tmp_path / "m.tfrx"),
+                       "--input", str(tmp_path / "in.bpe"),
+                       "--word-vocab", str(tmp_path / "word.vocab"),
+                       "--bpe-vocab", str(tmp_path / "bpe.vocab"),
+                       "--nbest", nbest) == 1
+        assert "--nbest" in capsys.readouterr().err
+
 
 class TestSelectErrors:
     @pytest.mark.parametrize("row, cause", [

@@ -10,6 +10,8 @@ from transference.cli import main
 from transference.errors import ConfigError
 from transference.pipeline import load_pipeline_config, run_pipeline
 
+from conftest import write_pipeline_ini
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -81,3 +83,12 @@ def test_misspelled_section_is_a_config_error(tmp_path, capsys):
         load_pipeline_config(ini)
     assert main(["pipeline", "--config", ini]) == 1
     assert "[fintune]" in capsys.readouterr().err
+
+
+def test_negative_n_select_fails_before_the_first_stage(toy_files, tmp_path, capsys):
+    work = tmp_path / "work"
+    ini = write_pipeline_ini(tmp_path / "c.ini", toy_files, str(work),
+                             {"select": {"n_select": -3}})
+    assert main(["pipeline", "--config", ini]) == 1
+    assert "n_select must be >= 0" in capsys.readouterr().err
+    assert not work.exists()

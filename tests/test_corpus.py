@@ -8,6 +8,7 @@ import pytest
 from transference import corpus as C
 from transference.corpus import SentencePair
 from transference.bpe import BpeModel
+from transference.cli import main
 from transference.errors import AlignmentError, DataError
 from transference.model import Vocab
 
@@ -227,6 +228,28 @@ class TestFileIO:
         raw = Path(path).read_bytes()
         assert b"\r" not in raw
         assert C.read_lines(path) == lines
+
+    @pytest.mark.parametrize("raw, lines", [
+        (b"a b\rc d\ne f\n", ["a b\rc d", "e f"]),
+        (b"a b\r\nc d\r\n", ["a b", "c d"]),
+        (b"a b\nc d", ["a b", "c d"]),
+        (b"", []),
+    ], ids=["lone-cr-stays-inside", "crlf-reads-as-lf", "last-line-unended",
+            "empty-file"])
+    def test_line_endings(self, tmp_path, raw, lines):
+        path = tmp_path / "c.txt"
+        path.write_bytes(raw)
+        assert C.read_lines(str(path)) == lines
+
+    def test_clean_keeps_a_stray_cr_inside_its_pair(self, tmp_path):
+        src, trg = tmp_path / "c.src", tmp_path / "c.trg"
+        src.write_bytes(b"a b\rc d\ne f\n")
+        trg.write_bytes(b"p q\nr s\n")
+        out_src, out_trg = tmp_path / "o.src", tmp_path / "o.trg"
+        assert main(["clean", "--source", str(src), "--target", str(trg),
+                     "--out-source", str(out_src), "--out-target", str(out_trg)]) == 0
+        assert len(C.read_lines(str(out_src))) == len(C.read_lines(str(out_trg))) == 2
+        assert C.read_lines(str(out_src))[1] == "e f"
 
     def test_missing_output_directory_is_named(self, tmp_path):
         path = str(tmp_path / "nodir" / "c.txt")

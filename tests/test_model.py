@@ -7,8 +7,9 @@ import pytest
 from transference import tensor as T
 from transference.errors import (ConfigError, ContractError, NumericError,
                                  ShapeError)
-from transference.model import (Checkpoint, ModelConfig, Vocab,
-                                decode_forward, encode, init_params,
+from transference.model import (Checkpoint, ModelConfig, Vocab, _tables,
+                                causal_attention_mask, decode_forward,
+                                encode, init_params,
                                 make_source_batch, multi_head_attention,
                                 padding_attention_mask, param_shapes,
                                 positional_encoding,
@@ -59,6 +60,25 @@ class TestPositionalEncoding:
     def test_over_limit_rejected(self):
         with pytest.raises(ContractError):
             positional_encoding(17, 8, max_positions=16)
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d_model, max_positions", [(8, 12), (64, 40), (512, 256)])
+    def test_slices_equal_fresh_tables(self, d_model, max_positions, dtype):
+        positions, causal = _tables(d_model, max_positions, np.dtype(dtype))
+        for n in range(max_positions + 2):
+            np.testing.assert_array_equal(
+                positions[:n],
+                positional_encoding(n, d_model, max_positions + 1, dtype=dtype))
+            np.testing.assert_array_equal(causal[:, :, :n, :n],
+                                          causal_attention_mask(n, dtype))
+        assert positions.dtype == causal.dtype == dtype
+
+    def test_tables_are_read_only(self):
+        for table in _tables(8, 12, np.dtype(np.float32)):
+            with pytest.raises(ValueError):
+                table[..., 0] = 1.0
 
 
 class TestScaledDotAttention:

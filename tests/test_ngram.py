@@ -229,6 +229,12 @@ class TestRankAndSplit:
         with pytest.raises(ConfigError):
             rank_and_split(self._scored([0.1, 0.2]), 2, 1)
 
+    @pytest.mark.parametrize("n_val, n_select, name", [
+        (2, -3, "n_select"), (-3, 4, "n_validation")])
+    def test_negative_sizes_rejected(self, n_val, n_select, name):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0, got -3"):
+            rank_and_split(self._scored(list(range(10))), n_val, n_select)
+
 
 def test_scores_tsv_format(tmp_path):
     scored = [ScoredPair(make_pair(3), 1.25, 2.5, 0.125, 0.0625, 3.6875)]

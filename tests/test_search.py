@@ -291,25 +291,37 @@ class TestLockstepSearch:
         ckpt = init_params(cfg, seed=9)
         batch = make_source_batch([[4, 5, 6], [7, 8]], [[4, 5, 6, 7], [8, 9]])
         encoded = encode(cfg, ckpt.params, batch)
-        owner = np.array([0, 0, 1, 1])     # two cache rows per sentence
-        take = lambda t: Tensor(t.data[owner])
-        per_row = EncodedSource(take(encoded.enc1_out), take(encoded.enc2_out),
-                                take(encoded.enc12_out), encoded.f_w_pad[owner],
-                                encoded.f_s_pad[owner])
-        cache = DecoderCache(cfg, rows=4, capacity=6)
-        prefix = np.full((4, 1), BOS_ID)
-        logits = decode_forward(cfg, ckpt.params, encoded, prefix, cache=cache)
-        for tokens, parents in (([5, 6, 7, 8], [1, 0, 3, 3]),
-                                ([9, 4, 5, 6], [0, 0, 2, 3]),
-                                ([10, 11, 12, 13], [1, 1, 3, 2])):
+        # (source of each cache row, [(next tokens, parents)]): two cache
+        # rows per sentence, then one
+        cases = ((np.array([0, 0, 1, 1]), (([5, 6, 7, 8], [1, 0, 3, 3]),
+                                           ([9, 4, 5, 6], [0, 0, 2, 3]),
+                                           ([10, 11, 12, 13], [1, 1, 3, 2]))),
+                 (np.array([0, 1]), (([5, 6], [0, 1]), ([9, 4], [0, 1]),
+                                     ([10, 11], [0, 1]))))
+        for owner, steps in cases:
+            take = lambda t: Tensor(t.data[owner])
+            per_row = EncodedSource(take(encoded.enc1_out), take(encoded.enc2_out),
+                                    take(encoded.enc12_out), encoded.f_w_pad[owner],
+                                    encoded.f_s_pad[owner])
+            cache = DecoderCache(cfg, ckpt.params, encoded, rows=len(owner), capacity=6)
+            prefix = np.full((len(owner), 1), BOS_ID)
+            logits = decode_forward(cfg, ckpt.params, encoded, prefix, cache=cache)
+            for tokens, parents in steps:
+                full = decode_forward(cfg, ckpt.params, per_row, prefix).data[:, -1]
+                np.testing.assert_allclose(logits.data[:, -1], full, atol=1e-5)
+                cache.reorder(np.array(parents))
+                prefix = np.concatenate([prefix[parents], np.array(tokens)[:, None]], axis=1)
+                logits = decode_forward(cfg, ckpt.params, encoded,
+                                        np.array(tokens)[:, None], cache=cache)
             full = decode_forward(cfg, ckpt.params, per_row, prefix).data[:, -1]
             np.testing.assert_allclose(logits.data[:, -1], full, atol=1e-5)
-            cache.reorder(np.array(parents))
-            prefix = np.concatenate([prefix[parents], np.array(tokens)[:, None]], axis=1)
-            logits = decode_forward(cfg, ckpt.params, encoded,
-                                    np.array(tokens)[:, None], cache=cache)
-        full = decode_forward(cfg, ckpt.params, per_row, prefix).data[:, -1]
-        np.testing.assert_allclose(logits.data[:, -1], full, atol=1e-5)
+
+    def test_cache_rows_must_split_over_sources(self):
+        cfg = search_config()
+        ckpt = init_params(cfg, seed=9)
+        encoded = encode(cfg, ckpt.params, make_source_batch([[4], [5]], [[4], [5]]))
+        with pytest.raises(ContractError, match="3 rows"):
+            DecoderCache(cfg, ckpt.params, encoded, rows=3, capacity=4)
 
     def test_pad_and_bos_never_output(self):
         ckpt = init_params(search_config(), seed=10)
