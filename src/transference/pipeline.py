@@ -75,9 +75,17 @@ class PipelineConfig:
             if not os.path.exists(path):
                 raise ConfigError(f"{name} file not found: {path}")
         if self.n_validation < 1:
-            raise ConfigError("n_validation must be >= 1")
+            raise ConfigError("[select] n_validation must be >= 1")
         if self.n_select < 0:
-            raise ConfigError("n_select must be >= 0")
+            raise ConfigError("[select] n_select must be >= 0")
+        if self.n_select == 0 and self.train_finetune.epochs > 0:
+            raise ConfigError("[select] n_select = 0 leaves nothing to fine-tune "
+                              "on; set [finetune] epochs = 0")
+        for section, key, value in (("lm", "order", self.lm_order),
+                                    ("model", "word_vocab_size", self.word_vocab),
+                                    ("decode", "beam", self.beam)):
+            if value < 1:
+                raise ConfigError(f"[{section}] {key} must be >= 1")
 
 
 def _grad_clip(text: str) -> float | None:

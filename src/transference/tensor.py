@@ -4,7 +4,8 @@ Data lives in numpy arrays (float32 for training storage, float64 for the
 gradient-check tests; ops preserve the input dtype).  Operations executed
 while a :class:`GradTape` is active are recorded in execution order, and
 ``backward`` replays the tape in reverse, which visits operations in
-reverse topological order by construction.  Tensors are treated as
+reverse topological order by construction, and returns each leaf's
+gradient; tensors carry no gradient slot.  Tensors are treated as
 immutable values once created; gradients accumulate additively when a
 tensor feeds several operations.
 """
@@ -29,7 +30,7 @@ MASK_VALUE = -1e9
 class Tensor:
     """A dense row-major float array plus autodiff bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -39,7 +40,6 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,8 +117,8 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(loss)/d(leaf) for every requires-grad leaf on the tape.
 
     Returns a mapping keyed by leaf tensor; leaves present on the tape but
-    not on any path to the loss get a zero gradient.  Also sets ``.grad``
-    on those leaves.
+    not on any path to the loss get a zero gradient.  The mapping is the
+    only place the gradients are kept.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -151,12 +151,8 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     result: dict[Tensor, np.ndarray] = {}
     for key, leaf in leaves.items():
         g = grads.get(key)
-        if g is None:
-            g = np.zeros_like(leaf.data)
-        else:
-            g = np.asarray(g, dtype=leaf.data.dtype)
-        leaf.grad = g
-        result[leaf] = g
+        result[leaf] = (np.zeros_like(leaf.data) if g is None
+                        else np.asarray(g, dtype=leaf.data.dtype))
     return result
 
 

@@ -50,6 +50,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} outside [0, 1)")
         if self.adam_epsilon <= 0:
             raise ConfigError("adam_epsilon must be positive")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip {self.grad_clip} must be > 0 or none")
 
 
 def lr_schedule(step: int, d_model: int = 512, warmup: int = 8000) -> float:
@@ -93,7 +95,7 @@ class OptimizerState:
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: OptimizerState, lr: float,
               beta1: float = 0.9, beta2: float = 0.98,
-              epsilon: float = 1e-9) -> tuple[dict[str, Tensor], OptimizerState]:
+              epsilon: float = 1e-9) -> None:
     """One bias-corrected Adam update, in place over the parameter dict."""
     state.step += 1
     t = state.step
@@ -124,7 +126,6 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         update *= lr
         update /= denom
         p.data = p.data - update.astype(p.data.dtype, copy=False)
-    return params, state
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -266,6 +267,30 @@ def validation_loss(config: ModelConfig, params: dict[str, Tensor],
     return total / max(tokens, 1)
 
 
+def train_step(config: ModelConfig, params: dict[str, Tensor], batch: Batch,
+               state: OptimizerState, cfg: TrainConfig,
+               rng) -> tuple[float, float]:
+    """One optimizer step on ``batch``: the scheduled learning rate, a
+    training-mode forward under a tape, backward, clipping and Adam.
+    Returns (lr, loss); a non-finite loss returns before backward and
+    leaves ``params`` and ``state`` as they were."""
+    lr = lr_schedule(state.step + 1, config.d_model, cfg.warmup_steps)
+    with GradTape() as tape:
+        loss = forward_loss(config, params, batch, cfg.label_smoothing,
+                            training=True, rng=rng)
+    loss_value = loss.item()
+    if not math.isfinite(loss_value):
+        return lr, loss_value
+    by_leaf = backward(tape, loss)
+    grads = {name: by_leaf[p] if p in by_leaf else np.zeros_like(p.data)
+             for name, p in params.items()}
+    del by_leaf  # one reference per gradient, so clipping frees the old one
+    if cfg.grad_clip is not None:
+        clip_gradients(grads, cfg.grad_clip)
+    adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+    return lr, loss_value
+
+
 @dataclass
 class LogRow:
     step: int
@@ -325,57 +350,37 @@ def train(generic_pairs: list[PreparedPair],
 
     log: list[LogRow] = []
     epoch_records: list[tuple[str, float]] = []
-    epoch_index = 0
     aborted = False
-
-    phases = (("generic", generic_config, generic_pairs),
-              ("finetune", finetune_config, finetune_pairs))
-    for phase, cfg, data in phases:
+    # one entry per epoch of both phases; the index seeds the shuffle and
+    # names the checkpoint
+    epochs = [(phase, cfg, data)
+              for phase, cfg, data in (("generic", generic_config, generic_pairs),
+                                       ("finetune", finetune_config, finetune_pairs))
+              for _ in range(cfg.epochs)]
+    for epoch, (phase, cfg, data) in enumerate(epochs):
+        batches = make_batches(data, cfg.batch_tokens, cfg.max_len,
+                               seed=cfg.seed, epoch=epoch)
+        if not batches:
+            raise TrainingError(f"no trainable pairs in phase '{phase}'")
+        for batch in batches:
+            lr, loss = train_step(config, params, batch, state, cfg, drop_rng)
+            aborted = not math.isfinite(loss)
+            if aborted:
+                break
+            log.append(LogRow(state.step, phase, lr, loss, None))
         if aborted:
             break
-        for _ in range(cfg.epochs):
-            if aborted:
-                break
-            batches = make_batches(data, cfg.batch_tokens, cfg.max_len,
-                                   seed=cfg.seed, epoch=epoch_index)
-            if not batches:
-                raise TrainingError(f"no trainable pairs in phase '{phase}'")
-            for batch in batches:
-                step = state.step + 1
-                lr = lr_schedule(step, config.d_model, cfg.warmup_steps)
-                with GradTape() as tape:
-                    loss = forward_loss(config, params, batch,
-                                        cfg.label_smoothing, training=True,
-                                        rng=drop_rng)
-                loss_value = loss.item()
-                if not math.isfinite(loss_value):
-                    aborted = True
-                    break
-                backward(tape, loss)
-                grads = {name: (p.grad if p.grad is not None
-                                else np.zeros_like(p.data))
-                         for name, p in params.items()}
-                for p in params.values():
-                    p.grad = None
-                if cfg.grad_clip is not None:
-                    clip_gradients(grads, cfg.grad_clip)
-                adam_step(params, grads, state, lr,
-                          cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-                log.append(LogRow(state.step, phase, lr, loss_value, None))
-            if aborted:
-                break
-            val = (validation_loss(config, params, val_batches,
-                                   cfg.label_smoothing)
-                   if val_batches else float(log[-1].train_loss))
-            epoch_index += 1
-            path = os.path.join(ckpt_dir, f"epoch_{epoch_index}.tfrx")
-            Checkpoint(params, config, state.step).save(path)
-            epoch_records.append((path, val))
-            last = log[-1]
-            log.append(LogRow(state.step, phase, last.lr, last.train_loss, val))
-            if verbose:
-                print(f"[{phase}] epoch {epoch_index}: step {state.step} "
-                      f"train {last.train_loss:.4f} val {val:.4f}")
+        val = (validation_loss(config, params, val_batches,
+                               cfg.label_smoothing)
+               if val_batches else float(log[-1].train_loss))
+        path = os.path.join(ckpt_dir, f"epoch_{epoch + 1}.tfrx")
+        Checkpoint(params, config, state.step).save(path)
+        epoch_records.append((path, val))
+        last = log[-1]
+        log.append(LogRow(state.step, phase, last.lr, last.train_loss, val))
+        if verbose:
+            print(f"[{phase}] epoch {epoch + 1}: step {state.step} "
+                  f"train {last.train_loss:.4f} val {val:.4f}")
 
     if not epoch_records:
         raise TrainingError(

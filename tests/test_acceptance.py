@@ -26,9 +26,8 @@ from transference.ngram import BOS, EOS, rank_and_split, score_pair, train_lm
 from transference.search import greedy_decode, translate_batch
 from transference.tensor import GradTape, Tensor, backward
 from transference.training import (OptimizerState, PreparedPair, TrainConfig,
-                                   adam_step, average_checkpoints,
-                                   clip_gradients, forward_loss, lr_schedule,
-                                   make_batches, train)
+                                   average_checkpoints, lr_schedule,
+                                   make_batches, train, train_step)
 from transference.pipeline import load_pipeline_config, run_pipeline
 
 from conftest import make_toy_world, write_pipeline_ini, write_world
@@ -122,22 +121,9 @@ def test_c2_overfit_sanity():
         for batch in make_batches(pairs, tc.batch_tokens, tc.max_len,
                                   seed=tc.seed, epoch=epoch):
             step += 1
-            lr = lr_schedule(step, cfg.d_model, tc.warmup_steps)
-            with GradTape() as tape:
-                loss = forward_loss(cfg, ckpt.params, batch, 0.0,
-                                    training=True)
-            value = loss.item()
+            _, value = train_step(cfg, ckpt.params, batch, state, tc, None)
             if value < 0.1 and first_below is None:
                 first_below = step
-            backward(tape, loss)
-            grads = {n: (p.grad if p.grad is not None
-                         else np.zeros_like(p.data))
-                     for n, p in ckpt.params.items()}
-            for p in ckpt.params.values():
-                p.grad = None
-            clip_gradients(grads, 5.0)
-            adam_step(ckpt.params, grads, state, lr,
-                      tc.beta1, tc.beta2, tc.adam_epsilon)
             if value < 0.01:
                 break
         else:

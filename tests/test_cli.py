@@ -278,7 +278,16 @@ class TestConfigErrors:
         ("train", "warmup_step", "10"),      # unknown key: warmup_steps
         ("train", "seed", "3"),              # the seed lives in [pipeline]
         ("finetune", "epochs", "-1"),
-    ], ids=["bad_int", "bad_float", "unknown_key", "train_seed", "negative"])
+        ("train", "grad_clip", "-1"),
+        ("train", "grad_clip", "0"),
+        ("train", "grad_clip", "nan"),
+        ("select", "n_select", "0"),         # [finetune] epochs = 6
+        ("decode", "beam", "0"),
+        ("lm", "order", "0"),
+        ("model", "word_vocab_size", "-2"),
+    ], ids=["bad_int", "bad_float", "unknown_key", "train_seed", "negative",
+            "negative_clip", "zero_clip", "nan_clip", "nothing_to_finetune",
+            "zero_beam", "zero_order", "negative_word_vocab"])
     def test_bad_config_is_1_and_named(self, toy_files, tmp_path, capsys,
                                        section, key, value):
         ini = write_pipeline_ini(tmp_path / "bad.ini", toy_files,

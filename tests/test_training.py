@@ -1,6 +1,7 @@
 """Schedule, loss, Adam, batching, averaging, and the training loop."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -373,6 +374,25 @@ class TestTrainLoop:
         assert "generic" in phases and "finetune" in phases
         switch = phases.index("finetune")
         assert steps[switch] > steps[0]
+
+    def test_epoch_index_runs_across_both_phases(self, tmp_path, monkeypatch):
+        real = TR.make_batches
+        epochs = []
+
+        def recording(*args, **kwargs):
+            epochs.append(kwargs["epoch"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "make_batches", recording)
+        pairs = prepared(15, 8, vocab=24)
+        result = train(pairs, pairs[:4], pairs[:2],
+                       init_params(mini_config(), seed=5),
+                       quick_train_config(2), quick_train_config(1),
+                       str(tmp_path / "ckpt"))
+        # the validation batches first, then one call per epoch
+        assert epochs == [0, 0, 1, 2]
+        assert [os.path.basename(p) for p, _ in result.epoch_records] == [
+            "epoch_1.tfrx", "epoch_2.tfrx", "epoch_3.tfrx"]
 
     def test_divergence_aborts_with_checkpoints_retained(self, tmp_path,
                                                          monkeypatch):
