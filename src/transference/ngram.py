@@ -4,6 +4,12 @@ Two models per language (one trained on the small in-domain corpus, one
 on the large general corpus) score every sentence pair; the sum of the
 two absolute per-side cross-entropy differences ranks pairs from most to
 least in-domain-like.
+
+This module also owns the files of the selection step: ``NGramLM.save``
+and ``NGramLM.load`` write and check a model file, and
+``write_scores_tsv`` and ``read_scores_tsv`` the per-pair scores.
+``_events`` is the one walk over a sentence's (target, context) events,
+shared by ``train_lm`` and scoring.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .corpus import SentencePair, write_lines
+from .corpus import SentencePair, read_lines, write_lines, write_text
 from .errors import ConfigError, ContractError, DataError
 
 BOS = "<s>"
@@ -72,15 +79,9 @@ class NGramLM:
     def sentence_events(self, tokens: list[str] | tuple[str, ...]
                         ) -> list[tuple[str, tuple[str, ...]]]:
         """(target, context) pairs for every position including EOS."""
-        mapped = [self.map_token(t) for t in tokens]
-        padded = [BOS] * (self.order - 1) + mapped
-        events = []
-        for i, target in enumerate(mapped + [EOS]):
-            context = tuple(padded[i:i + self.order - 1])
-            events.append((target, context))
-        return events
+        return list(_events([self.map_token(t) for t in tokens], self.order))
 
-    def to_json(self) -> str:
+    def save(self, path: str) -> None:
         payload = {
             "order": self.order,
             "vocab": sorted(self.vocab),
@@ -89,14 +90,57 @@ class NGramLM:
                 for level in self.counts
             ],
         }
-        return json.dumps(payload)
+        write_text(path, [json.dumps(payload)])
 
     @classmethod
-    def from_json(cls, text: str) -> "NGramLM":
-        payload = json.loads(text)
-        counts = [{tuple(ctx): dict(items) for ctx, items in level}
-                  for level in payload["counts"]]
-        return cls(payload["order"], set(payload["vocab"]), counts)
+    def load(cls, path: str) -> "NGramLM":
+        """Read a model written by ``save``; a file that is not one, or
+        one whose probabilities would not be finite or sum to 1, raises
+        DataError naming the file and the cause."""
+        try:
+            payload = json.loads("\n".join(read_lines(path)))
+            counts = [{tuple(ctx): dict(items) for ctx, items in level}
+                      for level in payload["counts"]]
+            lm = cls(payload["order"], set(payload["vocab"]), counts)
+            if type(lm.order) is not int or lm.order < 1:
+                raise DataError(f"{path}: order must be an integer >= 1, "
+                                f"got {lm.order!r}")
+            if len(lm.counts) != lm.order:
+                raise DataError(f"{path}: 'counts' has {len(lm.counts)} levels "
+                                f"for a model of order {lm.order}")
+            for token in (UNK, EOS):
+                if token not in lm.vocab:
+                    raise DataError(f"{path}: vocabulary has no '{token}'")
+            for k, level in enumerate(lm.counts):
+                lengths = set(map(len, level)) - {k}
+                if lengths:
+                    raise DataError(f"{path}: a level-{k} context has "
+                                    f"{min(lengths)} tokens, expected {k}")
+                if not lm.vocab.issuperset(chain.from_iterable(level.values())):
+                    raise DataError(f"{path}: level {k} counts a token outside "
+                                    f"the vocabulary")
+                values = list(chain.from_iterable(map(dict.values,
+                                                      level.values())))
+                # sum() also catches nan and inf, which min() can step over
+                if values and not (min(values) >= 1
+                                   and math.isfinite(sum(values))):
+                    raise DataError(f"{path}: level {k} holds a count that is "
+                                    f"not a finite number >= 1")
+        except KeyError as exc:
+            raise DataError(f"{path}: language model has no {exc} key") from None
+        # not JSON, not this shape, or a count too large for a float
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise DataError(f"{path}: not a language model: {exc}") from None
+        return lm
+
+
+def _events(mapped: list[str], order: int):
+    """Yield (target, context) for every position of a mapped sentence,
+    EOS included; each context is the ``order - 1`` tokens before the
+    target, padded with BOS."""
+    padded = [BOS] * (order - 1) + mapped
+    for i, target in enumerate(mapped + [EOS]):
+        yield target, tuple(padded[i:i + order - 1])
 
 
 def train_lm(corpus: list[list[str]] | list[tuple[str, ...]],
@@ -112,14 +156,13 @@ def train_lm(corpus: list[list[str]] | list[tuple[str, ...]],
 
     counts: list[dict[tuple[str, ...], dict[str, int]]] = [{} for _ in range(order)]
     for sent in corpus:
-        mapped = [tok if tok in vocab else UNK for tok in sent]
-        padded = [BOS] * (order - 1) + mapped
-        for i, target in enumerate(mapped + [EOS]):
+        for target, context in _events([tok if tok in vocab else UNK
+                                        for tok in sent], order):
             for k in range(order):
-                context = tuple(padded[i + (order - 1) - k:i + (order - 1)])
-                bucket = counts[k].get(context)
+                suffix = context[order - 1 - k:]
+                bucket = counts[k].get(suffix)
                 if bucket is None:
-                    bucket = counts[k][context] = {}
+                    bucket = counts[k][suffix] = {}
                 bucket[target] = bucket.get(target, 0) + 1
     return NGramLM(order, vocab, counts)
 
@@ -187,3 +230,36 @@ def write_scores_tsv(path: str, scored: list[ScoredPair]) -> None:
     write_lines(path, [f"{s.pair.original_index}\t{s.score:.6f}\t{s.h_src_in:.6f}"
                        f"\t{s.h_src_out:.6f}\t{s.h_trg_in:.6f}\t{s.h_trg_out:.6f}"
                        for s in scored])
+
+
+def read_scores_tsv(path: str, pairs: list[SentencePair]) -> list[ScoredPair]:
+    """The rows of a file written by ``write_scores_tsv``, each joined to
+    the pair of ``pairs`` its index names.  Every pair needs exactly one
+    row of finite values; a file that breaks this raises DataError naming
+    it, and the line when one row is at fault."""
+    scored = []
+    seen: dict[int, int] = {}      # pair index -> line that listed it
+    for number, line in enumerate(read_lines(path), 1):
+        row = line.split("\t")
+        try:
+            if len(row) != 6:
+                raise ValueError(f"{len(row)} columns, expected 6")
+            index = int(row[0])
+            if not 0 <= index < len(pairs):
+                raise ValueError(f"pair index {index} outside a corpus of "
+                                 f"{len(pairs)} pairs")
+            if index in seen:
+                raise ValueError(f"pair index {index} also on line {seen[index]}")
+            values = tuple(map(float, row[1:]))
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite value among " + ", ".join(row[1:]))
+        except ValueError as exc:
+            raise DataError(f"{path} line {number}: {exc}") from None
+        seen[index] = number
+        score, h_src_in, h_src_out, h_trg_in, h_trg_out = values
+        scored.append(ScoredPair(pairs[index], h_src_in, h_src_out,
+                                 h_trg_in, h_trg_out, score))
+    if len(scored) != len(pairs):
+        raise DataError(f"{path}: {len(scored)} rows for a corpus of "
+                        f"{len(pairs)} pairs; every pair needs one")
+    return scored

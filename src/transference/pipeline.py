@@ -12,7 +12,9 @@ The stage functions here (``clean_pairs``, ``train_truecaser``,
 ``learn_merges``, ``segment_files``, ``prepare_pairs``, ``source_batch``,
 ``train_model``, ``evaluate_files``) take paths in and write paths out;
 the CLI subcommands call the same functions, and read the same config
-table.  ``map_lines`` is the one read-map-write loop over a text file,
+table.  The language-model and ``scores.tsv`` formats are ``ngram``'s:
+the LM and selection stages hand it paths and parse neither file.
+``map_lines`` is the one read-map-write loop over a text file,
 shared by the stages and the CLI's line commands; ``_run_stage`` is the
 manifest check around each stage of ``run_pipeline``."""
 
@@ -234,55 +236,21 @@ def truecase_files(model_path: str, files: list[tuple[str, str]]) -> None:
 
 
 def lm_train(corpus_path: str, model_path: str, order: int) -> None:
-    lm = N.train_lm(read_tokens(corpus_path), order=order)
-    C.write_text(model_path, [lm.to_json()])
-
-
-def _read_lm(path: str) -> N.NGramLM:
-    """An n-gram model written by ``lm_train``; a file that is not one
-    raises DataError naming the file and the cause."""
-    try:
-        lm = N.NGramLM.from_json("\n".join(C.read_lines(path)))
-    except KeyError as exc:
-        raise DataError(f"{path}: language model has no {exc} key") from None
-    except (ValueError, TypeError) as exc:   # not JSON, or not this shape
-        raise DataError(f"{path}: not a language model: {exc}") from None
-    if len(lm.counts) != lm.order:
-        raise DataError(f"{path}: 'counts' has {len(lm.counts)} levels for a "
-                        f"model of order {lm.order}")
-    return lm
+    N.train_lm(read_tokens(corpus_path), order=order).save(model_path)
 
 
 def score_corpus(src_path: str, trg_path: str, lm_paths: tuple[str, ...],
                  scores_path: str) -> None:
     """Bilingual cross-entropy difference of every pair; ``lm_paths`` are
     the in-domain and out-of-domain source models, then the target ones."""
-    lms = [_read_lm(path) for path in lm_paths]
-    N.write_scores_tsv(scores_path, [N.score_pair(pair, *lms) for pair
-                                     in read_pairs(src_path, trg_path)])
-
-
-def _read_scores(path: str, pairs: list[C.SentencePair]) -> list[N.ScoredPair]:
-    scored = []
-    seen: dict[int, int] = {}      # pair index -> line that listed it
-    for number, line in enumerate(C.read_lines(path), 1):
-        row = line.split("\t")
-        try:
-            if len(row) != 6:
-                raise ValueError(f"{len(row)} columns, expected 6")
-            index = int(row[0])
-            if not 0 <= index < len(pairs):
-                raise ValueError(f"pair index {index} outside a corpus of "
-                                 f"{len(pairs)} pairs")
-            if index in seen:
-                raise ValueError(f"pair index {index} also on line {seen[index]}")
-            score, h_src_in, h_src_out, h_trg_in, h_trg_out = map(float, row[1:])
-        except ValueError as exc:
-            raise DataError(f"{path} line {number}: {exc}") from None
-        seen[index] = number
-        scored.append(N.ScoredPair(pairs[index], h_src_in, h_src_out,
-                                   h_trg_in, h_trg_out, score))
-    return scored
+    lms = [N.NGramLM.load(path) for path in lm_paths]
+    pairs = read_pairs(src_path, trg_path)
+    for pair in pairs:
+        if not (pair.source and pair.target):
+            raise DataError(f"{trg_path if pair.source else src_path} line "
+                            f"{pair.original_index + 1}: a sentence with no "
+                            "tokens has no cross-entropy")
+    N.write_scores_tsv(scores_path, [N.score_pair(pair, *lms) for pair in pairs])
 
 
 def select_split(scores_path: str, src_path: str, trg_path: str,
@@ -291,7 +259,7 @@ def select_split(scores_path: str, src_path: str, trg_path: str,
     """Rank the pairs by score, best first, and write the
     ``validation``, ``selected`` and ``sorted_all`` splits to the
     (source, target) paths ``out`` gives for each."""
-    scored = _read_scores(scores_path, read_pairs(src_path, trg_path))
+    scored = N.read_scores_tsv(scores_path, read_pairs(src_path, trg_path))
     splits = N.rank_and_split(scored, n_validation, n_select)
     for name, subset in zip(("validation", "selected", "sorted_all"), splits):
         write_pairs([s.pair for s in subset], *out[name])

@@ -78,7 +78,7 @@ class TestLmCommands:
                        "--order", "2") == 0
         assert run_cli("lm-train", "--input", str(gen_src), "--model",
                        str(lm_out), "--order", "2") == 0
-        loaded = NGramLM.from_json(Path(lm_in).read_text())
+        loaded = NGramLM.load(str(lm_in))
         assert loaded.order == 2
 
         scores = tmp_path / "scores.tsv"
@@ -96,6 +96,24 @@ class TestLmCommands:
         assert len(read_lines(f"{prefix}.validation.src")) == 1
         assert len(read_lines(f"{prefix}.selected.src")) == 2
         assert len(read_lines(f"{prefix}.sorted_all.src")) == 3
+
+
+    def test_empty_sentence_in_score_is_2_and_named(self, tmp_path, capsys):
+        src = tmp_path / "g.src"
+        trg = tmp_path / "g.trg"
+        write_lines(str(src), ["a b", "a a", "b a"])
+        write_lines(str(trg), ["b a", "", "a b"])
+        lm = tmp_path / "g.lm"
+        assert run_cli("lm-train", "--input", str(src), "--model", str(lm),
+                       "--order", "2") == 0
+        scores = tmp_path / "scores.tsv"
+        assert run_cli("score", "--source", str(src), "--target", str(trg),
+                       "--lm-in-source", str(lm), "--lm-out-source", str(lm),
+                       "--lm-in-target", str(lm), "--lm-out-target", str(lm),
+                       "--output", str(scores)) == 2
+        err = capsys.readouterr().err
+        assert f"{trg} line 2: a sentence with no tokens" in err
+        assert not scores.exists()
 
 
 class TestBpeCommands:
@@ -436,7 +454,10 @@ class TestSelectErrors:
     @pytest.mark.parametrize("row, cause", [
         ("7\t0.1\t1.0\t1.0\t1.0\t1.0", "index 7"),
         ("1\t0.1\t1.0\t1.0", "4 columns"),
-    ], ids=["index_past_corpus", "columns"])
+        ("1\tnan\t1.0\t1.0\t1.0\t1.0", "non-finite value"),
+        ("1\t0.1\t1.0\tinf\t1.0\t1.0", "non-finite value"),
+        ("1\t0.1\t1.0\t1.0\t1.0\t-inf", "non-finite value"),
+    ], ids=["index_past_corpus", "columns", "nan", "inf", "minus_inf"])
     def test_misaligned_scores_are_2(self, tmp_path, capsys, row, cause):
         src = tmp_path / "g.src"
         trg = tmp_path / "g.trg"
@@ -450,6 +471,22 @@ class TestSelectErrors:
                        "--out-prefix", str(tmp_path / "split")) == 2
         err = capsys.readouterr().err
         assert f"{scores} line 2" in err and cause in err
+
+    def test_scores_missing_a_pair_are_2(self, tmp_path, capsys):
+        src = tmp_path / "g.src"
+        trg = tmp_path / "g.trg"
+        write_lines(str(src), ["a b", "c d", "e f", "g h"])
+        write_lines(str(trg), ["p q", "r s", "t u", "v w"])
+        scores = tmp_path / "scores.tsv"
+        write_lines(str(scores), [f"{i}\t0.{i}\t1.0\t1.0\t1.0\t1.0"
+                                  for i in (0, 1)])
+        assert run_cli("select", "--scores", str(scores), "--source", str(src),
+                       "--target", str(trg), "--n-validation", "1",
+                       "--n-select", "1",
+                       "--out-prefix", str(tmp_path / "split")) == 2
+        err = capsys.readouterr().err
+        assert f"{scores}: 2 rows for a corpus of 4 pairs" in err
+        assert not list(tmp_path.glob("split*"))
 
     def test_repeated_pair_index_is_2(self, tmp_path, capsys):
         src = tmp_path / "g.src"
@@ -483,7 +520,26 @@ class TestModelFileErrors:
         ('{"order": 2, "vocab": ["a"]}', "no 'counts' key"),
         ("order 2\n", "not a language model"),
         ('{"order": 2, "vocab": ["a"], "counts": [[]]}', "1 levels"),
-    ], ids=["no_counts", "not_json", "missing_level"])
+        ('{"order": 0, "vocab": ["<unk>", "</s>"], "counts": []}',
+         "order must be an integer >= 1, got 0"),
+        ('{"order": 1, "vocab": [], "counts": [[]]}', "vocabulary has no '<unk>'"),
+        ('{"order": 1, "vocab": ["<unk>", "a"], "counts": [[]]}',
+         "vocabulary has no '</s>'"),
+        ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
+         '"counts": [[[[], [["a", -3], ["</s>", 2]]]]]}', "not a finite number >= 1"),
+        ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
+         '"counts": [[[[], [["a", NaN]]]]]}', "not a finite number >= 1"),
+        ('{"order": 2, "vocab": ["<unk>", "</s>", "a"], '
+         '"counts": [[[[], [["a", 2]]]], [[["a", "a"], [["a", 2]]]]]}',
+         "a level-1 context has 2 tokens, expected 1"),
+        ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
+         '"counts": [[[[], [["a", 1%s]]]]]}' % ("0" * 400), "not a language model"),
+        ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
+         '"counts": [[[[], [["a", 2], ["zz", 50]]]]]}',
+         "level 0 counts a token outside the vocabulary"),
+    ], ids=["no_counts", "not_json", "missing_level", "order_0", "empty_vocab",
+            "no_eos", "negative_count", "nan_count", "context_length",
+            "huge_count", "foreign_target"])
     def test_malformed_language_model_is_2(self, tmp_path, capsys, text, cause):
         src = tmp_path / "g.src"
         trg = tmp_path / "g.trg"

@@ -10,8 +10,8 @@ import pytest
 from transference.corpus import SentencePair
 from transference.errors import ConfigError, ContractError, DataError
 from transference.ngram import (BOS, EOS, UNK, NGramLM, cross_entropy,
-                                rank_and_split, score_pair, train_lm,
-                                write_scores_tsv, ScoredPair)
+                                rank_and_split, read_scores_tsv, score_pair,
+                                train_lm, write_scores_tsv, ScoredPair)
 
 
 def recursive_prob(lm, token, context):
@@ -236,9 +236,34 @@ class TestRankAndSplit:
             rank_and_split(self._scored(list(range(10))), n_val, n_select)
 
 
+def test_save_load_round_trip(tmp_path):
+    rng = np.random.default_rng(6)
+    words = ["alfa", "beta", "gama", "delta"]
+    corpus = [[words[i] for i in rng.integers(0, 4, size=rng.integers(1, 7))]
+              for _ in range(30)]
+    sentences = [["alfa", "beta"], ["nové", "gama", "gama"], ["delta"]]
+    for order in (1, 2, 3):
+        lm = train_lm(corpus, order=order)
+        path = str(tmp_path / f"lm{order}.json")
+        lm.save(path)
+        loaded = NGramLM.load(path)
+        assert (loaded.order, loaded.vocab, loaded.counts) == (
+            lm.order, lm.vocab, lm.counts)
+        for sentence in sentences:
+            assert cross_entropy(loaded, sentence) == cross_entropy(lm, sentence)
+
+
 def test_scores_tsv_format(tmp_path):
-    scored = [ScoredPair(make_pair(3), 1.25, 2.5, 0.125, 0.0625, 3.6875)]
+    pairs = [make_pair(i) for i in range(4)]
+    scored = [ScoredPair(pairs[3], 1.25, 2.5, 0.125, 0.0625, 3.6875)] + [
+        ScoredPair(pairs[i], i / 3, 1.0, 2 / 7, 0.0, i + 1 / 9) for i in range(3)]
     path = str(tmp_path / "scores.tsv")
     write_scores_tsv(path, scored)
-    line = Path(path).read_text(encoding="utf-8").rstrip("\n")
-    assert line == "3\t3.687500\t1.250000\t2.500000\t0.125000\t0.062500"
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "3\t3.687500\t1.250000\t2.500000\t0.125000\t0.062500"
+    assert len(lines) == 5 and lines[-1] == ""
+    fields = ("score", "h_src_in", "h_src_out", "h_trg_in", "h_trg_out")
+    back = read_scores_tsv(path, pairs)
+    assert [s.pair for s in back] == [s.pair for s in scored]
+    assert [[getattr(s, f) for f in fields] for s in back] == [
+        [round(getattr(s, f), 6) for f in fields] for s in scored]
