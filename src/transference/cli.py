@@ -7,6 +7,7 @@ stage or computation fails.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -68,8 +69,12 @@ def _cmd_average(args) -> None:
 
 
 def _cmd_translate(args) -> None:
-    if args.nbest is not None and args.nbest < 1:
-        raise ConfigError(f"--nbest must be >= 1, got {args.nbest}")
+    for flag, value in (("--beam", args.beam), ("--max-len", args.max_len),
+                        ("--nbest", args.nbest)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if not math.isfinite(args.alpha):
+        raise ConfigError(f"--alpha must be finite, got {args.alpha}")
     word_vocab = Vocab.load(args.word_vocab)
     bpe_vocab = Vocab.load(args.bpe_vocab)
     checkpoint = Checkpoint.load(args.checkpoint)

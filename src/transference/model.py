@@ -6,6 +6,10 @@ self-attention over the subword stream and cross-attention into the word
 encoder's output.  The decoder attends to the bridge output and predicts
 subword units; its embedding table is the same stored tensor as the
 subword encoder's.
+
+Every layer of the four stacks is ``_layer``; its attention is
+``multi_head_attention`` over the fused ``T.attention``, and every
+projection is a ``T.linear``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import read_lines, write_lines, write_text
-from .errors import CheckpointError, ConfigError, ContractError, ShapeError
+from .errors import CheckpointError, ConfigError, ContractError
 from .tensor import MASK_VALUE, Tensor
 from .tensor_io import load_tensors, save_tensors
 
@@ -91,14 +95,6 @@ class ModelConfig:
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.heads
-
-    @property
-    def d_v(self) -> int:
-        return self.d_model // self.heads
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -220,53 +216,30 @@ def _tables(d_model: int, max_positions: int, dtype) -> tuple[np.ndarray, np.nda
     return tables
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: np.ndarray | Tensor | None = None,
-                         heads: int | None = None) -> Tensor:
-    """softmax(q @ k^T / sqrt(d_k) + mask) @ v.
-
-    Masked positions receive a large negative score, so their weight
-    underflows to an exact zero.  Leading batch/head dimensions broadcast.
-    With ``heads``, ``T.attention`` splits [..., len, d_model] into heads.
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(
-            f"query/key depth mismatch: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(
-            f"key/value length mismatch: {k.shape} vs {v.shape}")
-    if isinstance(mask, Tensor):
-        mask = mask.data
-    return T.attention(q, k, v, mask, 1.0 / math.sqrt(q.shape[-1] // (heads or 1)), heads)
-
-
-def multi_head_attention(params: dict[str, Tensor], q_in: Tensor,
-                         k_in: Tensor, v_in: Tensor,
-                         mask: np.ndarray | None, heads: int,
+def multi_head_attention(params: dict[str, Tensor], prefix: str, x: Tensor,
+                         memory: Tensor, mask: np.ndarray | None, heads: int,
                          kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """Per-head linear projections, parallel scaled-dot attention, concat,
-    and the output projection.  ``params`` holds wq/wk/wv/wo, each
-    [d_model, d_model]; head i uses columns [i*d_k, (i+1)*d_k).
+    """Attention of ``x`` over ``memory``, both [batch, len, d_model]:
+    ``{prefix}/wq`` projects q from ``x``, ``{prefix}/wk`` and ``wv`` k and
+    v from ``memory``; with d_k = d_model // heads, head i attends with
+    columns [i*d_k, (i+1)*d_k) at scale 1/sqrt(d_k), and ``{prefix}/wo``
+    projects the merged heads.
 
     ``kv``, when given, holds keys and values already projected,
-    [batch, len, d_model], and ``k_in``/``v_in`` are not read.  ``q_in``
+    [batch, len, d_model], and ``memory`` is not read.  ``x``
     [rows, n, d_model] may then have a multiple of batch rows: each group
     of rows // batch consecutive rows attends as the queries of one batch
-    entry, and the output keeps the shape of ``q_in``."""
-    d_model = q_in.shape[-1]
-    if d_model % heads != 0:
-        raise ConfigError(f"d_model {d_model} not divisible by heads {heads}")
-    q = T.matmul(q_in, params["wq"])
-    k, v = kv or (T.matmul(k_in, params["wk"]), T.matmul(v_in, params["wv"]))
+    entry, and the output keeps the shape of ``x``."""
+    d_model = x.shape[-1]
+    scale = 1.0 / math.sqrt(d_model // heads)
+    q = T.linear(x, params[f"{prefix}/wq"])
+    k, v = kv or (T.linear(memory, params[f"{prefix}/wk"]),
+                  T.linear(memory, params[f"{prefix}/wv"]))
     if kv is None or k.shape[0] == q.shape[0]:
-        return T.matmul(scaled_dot_attention(q, k, v, mask, heads), params["wo"])
+        return T.linear(T.attention(q, k, v, mask, scale, heads), params[f"{prefix}/wo"])
     q = T.reshape(q, (k.shape[0], -1, d_model))
-    out = T.reshape(scaled_dot_attention(q, k, v, mask, heads), q_in.shape)
-    return T.matmul(out, params["wo"])
-
-
-def _attn_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
-    return {name: params[f"{prefix}/{name}"] for name in ("wq", "wk", "wv", "wo")}
+    out = T.reshape(T.attention(q, k, v, mask, scale, heads), x.shape)
+    return T.linear(out, params[f"{prefix}/wo"])
 
 
 def _sublayer(x: Tensor, sub_out: Tensor, params: dict[str, Tensor],
@@ -318,13 +291,12 @@ def _layer(prefix: str, x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
     ``memory`` when it is given, then the feed-forward block, each inside
     residual + layer norm with dropout.  ``self_kv`` and ``cross_kv`` are
     keys and values already projected (``multi_head_attention``)."""
-    attn = multi_head_attention(_attn_params(params, f"{prefix}/self_attn"),
-                                x, x, x, mask, cfg.heads, self_kv)
+    attn = multi_head_attention(params, f"{prefix}/self_attn", x, x, mask,
+                                cfg.heads, self_kv)
     x = _sublayer(x, attn, params, f"{prefix}/self_attn_norm", cfg, training, rng)
     if memory is not None:
-        cross = multi_head_attention(_attn_params(params, f"{prefix}/cross_attn"),
-                                     x, memory, memory, memory_mask, cfg.heads,
-                                     cross_kv)
+        cross = multi_head_attention(params, f"{prefix}/cross_attn", x, memory,
+                                     memory_mask, cfg.heads, cross_kv)
         x = _sublayer(x, cross, params, f"{prefix}/cross_attn_norm",
                       cfg, training, rng)
     return _sublayer(x, _ffn(x, params, f"{prefix}/ffn"),
@@ -386,7 +358,7 @@ class DecoderCache:
         self.ids = np.full((rows, capacity), PAD_ID, dtype=np.int64)
         self.keys = [np.empty(shape, memory.dtype) for _ in range(config.n_layers_dec)]
         self.values = [np.empty(shape, memory.dtype) for _ in range(config.n_layers_dec)]
-        self.cross = [tuple(T.matmul(memory, params[f"{prefix}/cross_attn/{w}"])
+        self.cross = [tuple(T.linear(memory, params[f"{prefix}/cross_attn/{w}"])
                             for w in ("wk", "wv"))
                       for prefix in _layer_prefixes(config, "decoder")]
         self.cross_mask = padding_attention_mask(encoded.f_s_pad, memory.dtype)
@@ -449,7 +421,7 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
         if cache is not None:
             stores = (cache.keys[i], cache.values[i])
             for w, store in zip(("wk", "wv"), stores):
-                store[:, start:end] = T.matmul(y, params[f"{prefix}/self_attn/{w}"]).data
+                store[:, start:end] = T.linear(y, params[f"{prefix}/self_attn/{w}"]).data
             self_kv = tuple(T.constant(store[:, :end]) for store in stores)
             cross_kv = cache.cross[i]
         y = _layer(prefix, y, mask, params, config, training, rng,

@@ -94,8 +94,9 @@ class NGramLM:
 
     @classmethod
     def load(cls, path: str) -> "NGramLM":
-        """Read a model written by ``save``; a file that is not one, or
-        one whose probabilities would not be finite or sum to 1, raises
+        """Read a model written by ``save``; a file that is not one, one
+        whose probabilities would not be finite or sum to 1, or one that
+        counts or conditions on a token outside its vocabulary raises
         DataError naming the file and the cause."""
         try:
             payload = json.loads("\n".join(read_lines(path)))
@@ -111,11 +112,15 @@ class NGramLM:
             for token in (UNK, EOS):
                 if token not in lm.vocab:
                     raise DataError(f"{path}: vocabulary has no '{token}'")
+            context_vocab = lm.vocab | {BOS}
             for k, level in enumerate(lm.counts):
                 lengths = set(map(len, level)) - {k}
                 if lengths:
                     raise DataError(f"{path}: a level-{k} context has "
                                     f"{min(lengths)} tokens, expected {k}")
+                if not context_vocab.issuperset(chain.from_iterable(level)):
+                    raise DataError(f"{path}: a level-{k} context holds a token "
+                                    f"outside the vocabulary")
                 if not lm.vocab.issuperset(chain.from_iterable(level.values())):
                     raise DataError(f"{path}: level {k} counts a token outside "
                                     f"the vocabulary")

@@ -26,6 +26,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -85,9 +86,13 @@ class PipelineConfig:
                               "on; set [finetune] epochs = 0")
         for section, key, value in (("lm", "order", self.lm_order),
                                     ("model", "word_vocab_size", self.word_vocab),
-                                    ("decode", "beam", self.beam)):
+                                    ("decode", "beam", self.beam),
+                                    ("decode", "max_len", self.decode_max_len)):
             if value < 1:
                 raise ConfigError(f"[{section}] {key} must be >= 1")
+        if not math.isfinite(self.length_alpha):
+            raise ConfigError(f"[decode] length_alpha must be finite, "
+                              f"got {self.length_alpha}")
 
 
 def _grad_clip(text: str) -> float | None:

@@ -4,12 +4,20 @@
 encoder batch, then per step one ``model.decode_forward`` call over every
 live hypothesis of every sentence against a ``model.DecoderCache``, whose
 rows are gathered by parent index after each selection.
+
+With ``beam=1`` and ``length_alpha=0`` the live hypothesis follows the
+argmax of the tokens other than EOS; EOS takes no beam slot, so each step
+whose top two tokens include it also finishes a hypothesis, and the one
+with the best log-probability wins.
+
 ``beam_search_nbest`` is the same search over a generic "stepper" (anything
 with ``initial()``, ``advance(state, token)`` and ``logprobs(state)``), so
 tests can drive it with stub distributions; ``IncrementalDecoder`` is such
 a stepper over a checkpoint.  It re-runs the decoder over each whole
 prefix and shares no cache with the lockstep search, so it is a reference
-for it.  Both searches share the tie-break rules of ``_expand``.
+for it.  No command runs the stepper search; it stays here because the
+benchmark's traced run wraps ``beam_search`` and ``IncrementalDecoder`` by
+name.  Both searches share the tie-break rules of ``_expand``.
 """
 
 from __future__ import annotations
@@ -263,9 +271,3 @@ def translate_batch(checkpoint: Checkpoint, source: SourceBatch,
     return [pool[0].output_ids() for pool in
             translate_batch_nbest(checkpoint, source, beam, max_len, length_alpha)]
 
-
-def greedy_decode(checkpoint: Checkpoint, source: SourceBatch,
-                  max_len: int = 256) -> list[list[int]]:
-    """Argmax decoding; identical to beam=1 and used by the overfit checks."""
-    return translate_batch(checkpoint, source, beam=1, max_len=max_len,
-                           length_alpha=0.0)

@@ -8,6 +8,9 @@ reverse topological order by construction, and returns each leaf's
 gradient; tensors carry no gradient slot.  Tensors are treated as
 immutable values once created; gradients accumulate additively when a
 tensor feeds several operations.
+
+It holds only the ops the model and the training loop run; the tests
+keep the unfused ops they compare the fused ones with.
 """
 
 from __future__ import annotations
@@ -184,27 +187,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make_output(out, (a, b), rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def rule(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
-
-    return _make_output(out, (a, b), rule)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-    a_data, b_data = a.data, b.data
-
-    def rule(g):
-        return (_unbroadcast(g * b_data, a_data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a_data, b_data.shape) if b.requires_grad else None)
-
-    return _make_output(out, (a, b), rule)
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     out = a.data * a.data.dtype.type(factor)
 
@@ -214,45 +196,14 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _make_output(out, (a,), rule)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch dimensions broadcast.
-
-    A stack of rows times one matrix, [..., d] @ [d, k], runs forward and
-    backward as flat [rows, d] GEMMs, so the weight gradient is one
-    product instead of a per-batch stack summed away."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2, got {a.shape} and {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    a_data, b_data = a.data, b.data
-    if b_data.ndim == 2 and a_data.ndim > 2:
-        return _rows_times_matrix(a, b, None)
-    out = np.matmul(a_data, b_data)
-
-    def rule(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_data.shape)
-        return ga, gb
-
-    return _make_output(out, (a, b), rule)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for x [..., d], w [d, k] and b [k], as one op."""
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for x [..., d], w [d, k] and b [k], as one op: one
+    [rows, d] GEMM, both gradients as flat GEMMs and the bias gradient as
+    one column sum."""
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear input {x.shape} does not fit weight {w.shape}")
-    if b.data.shape != w.data.shape[1:]:
+    if b is not None and b.data.shape != w.data.shape[1:]:
         raise ShapeError(f"linear bias {b.shape} does not fit weight {w.shape}")
-    return _rows_times_matrix(x, w, b)
-
-
-def _rows_times_matrix(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """[..., d] @ [d, k] (+ b) as one [rows, d] GEMM, with both gradients
-    as flat GEMMs and the bias gradient as one column sum."""
     d, k = w.data.shape
     lead = x.data.shape[:-1]
     rows = math.prod(lead)
@@ -291,6 +242,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
     an additive constant that takes no gradient.  With ``heads``, q, k and
     v are [..., len, d] and attend as heads (``_to_heads``; ``mask`` then
     broadcasts to [..., heads, len_q, len_k]), merged back to [..., len, d]."""
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"query/key depth mismatch: {q.shape} vs {k.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"key/value length mismatch: {k.shape} vs {v.shape}")
+    if heads is not None and (q.shape[-1] % heads or v.shape[-1] % heads):
+        raise ShapeError(f"query depth {q.shape[-1]} or value depth {v.shape[-1]} "
+                         f"is not divisible by {heads} heads")
     kind = q.data.dtype.type
     q_data, k_data, v_data = q.data, k.data, v.data
     if heads is not None:
@@ -343,36 +301,6 @@ def relu(a: Tensor) -> Tensor:
 
     def rule(g):
         return (g * keep,)
-
-    return _make_output(out, (a,), rule)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along `axis`; slices sum to 1."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    if np.isnan(a.data).any():
-        raise NumericError("softmax input contains NaN")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def rule(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - inner) * out,)
-
-    return _make_output(out, (a,), rule)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"log_softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    probs = np.exp(out)
-
-    def rule(g):
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
 
     return _make_output(out, (a,), rule)
 
@@ -463,51 +391,6 @@ def reshape(a: Tensor, shape: Iterable[int]) -> Tensor:
 
     def rule(g):
         return (g.reshape(orig),)
-
-    return _make_output(out, (a,), rule)
-
-
-def transpose(a: Tensor, axes: Iterable[int]) -> Tensor:
-    axes = tuple(axes)
-    out = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
-
-    def rule(g):
-        return (np.transpose(g, inverse),)
-
-    return _make_output(out, (a,), rule)
-
-
-def reduce_sum(a: Tensor, axis: int | None = None,
-               keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.data.shape
-
-    def rule(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make_output(np.asarray(out), (a,), rule)
-
-
-def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
-    """take_along_axis on the last axis; index shape = a.shape[:-1] + (k,)."""
-    index = np.asarray(index)
-    if index.shape[:-1] != a.data.shape[:-1]:
-        raise ShapeError(
-            f"gather index shape {index.shape} incompatible with {a.shape}")
-    out = np.take_along_axis(a.data, index, axis=-1)
-    flat_rows = int(np.prod(a.data.shape[:-1], dtype=np.int64)) if a.data.ndim > 1 else 1
-
-    def rule(g):
-        g_a = np.zeros_like(a.data)
-        g2 = g_a.reshape(flat_rows, a.data.shape[-1])
-        idx2 = index.reshape(flat_rows, index.shape[-1])
-        rows = np.arange(flat_rows)[:, None]
-        np.add.at(g2, (rows, idx2), g.reshape(flat_rows, index.shape[-1]))
-        return (g_a,)
 
     return _make_output(out, (a,), rule)
 

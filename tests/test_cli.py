@@ -301,11 +301,14 @@ class TestConfigErrors:
         ("train", "grad_clip", "nan"),
         ("select", "n_select", "0"),         # [finetune] epochs = 6
         ("decode", "beam", "0"),
+        ("decode", "max_len", "0"),
+        ("decode", "length_alpha", "nan"),
         ("lm", "order", "0"),
         ("model", "word_vocab_size", "-2"),
     ], ids=["bad_int", "bad_float", "unknown_key", "train_seed", "negative",
             "negative_clip", "zero_clip", "nan_clip", "nothing_to_finetune",
-            "zero_beam", "zero_order", "negative_word_vocab"])
+            "zero_beam", "zero_max_len", "nan_alpha", "zero_order",
+            "negative_word_vocab"])
     def test_bad_config_is_1_and_named(self, toy_files, tmp_path, capsys,
                                        section, key, value):
         ini = write_pipeline_ini(tmp_path / "bad.ini", toy_files,
@@ -432,6 +435,19 @@ class TestTranslateNbest:
 
     @pytest.mark.parametrize("nbest", ["0", "-1"])
     def test_nbest_below_one_is_1_and_named(self, tmp_path, capsys, nbest):
+        self._check_bad_flag(tmp_path, capsys, "--nbest", nbest)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beam", "0"), ("--beam", "-2"), ("--max-len", "0"), ("--max-len", "-3"),
+        ("--alpha", "nan"), ("--alpha", "inf"),
+    ], ids=["zero_beam", "negative_beam", "zero_max_len", "negative_max_len",
+            "nan_alpha", "inf_alpha"])
+    def test_decode_flag_out_of_range_is_1_and_named(self, tmp_path, capsys,
+                                                      flag, value):
+        self._check_bad_flag(tmp_path, capsys, flag, value)
+
+    @staticmethod
+    def _check_bad_flag(tmp_path, capsys, flag, value):
         bpe = Vocab(["a</w>", "b</w>", "c"])
         words = Vocab(["a", "b"])
         cfg = ModelConfig(bpe_vocab_size=len(bpe), word_vocab_size=len(words),
@@ -446,8 +462,9 @@ class TestTranslateNbest:
                        "--input", str(tmp_path / "in.bpe"),
                        "--word-vocab", str(tmp_path / "word.vocab"),
                        "--bpe-vocab", str(tmp_path / "bpe.vocab"),
-                       "--nbest", nbest) == 1
-        assert "--nbest" in capsys.readouterr().err
+                       "--output", str(tmp_path / "out.txt"), flag, value) == 1
+        err = capsys.readouterr().err
+        assert flag in err and not (tmp_path / "out.txt").exists()
 
 
 class TestSelectErrors:
@@ -537,9 +554,12 @@ class TestModelFileErrors:
         ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
          '"counts": [[[[], [["a", 2], ["zz", 50]]]]]}',
          "level 0 counts a token outside the vocabulary"),
+        ('{"order": 2, "vocab": ["<unk>", "</s>", "a"], '
+         '"counts": [[[[], [["a", 2]]]], [[["zz"], [["a", 2]]]]]}',
+         "a level-1 context holds a token outside the vocabulary"),
     ], ids=["no_counts", "not_json", "missing_level", "order_0", "empty_vocab",
             "no_eos", "negative_count", "nan_count", "context_length",
-            "huge_count", "foreign_target"])
+            "huge_count", "foreign_target", "foreign_context"])
     def test_malformed_language_model_is_2(self, tmp_path, capsys, text, cause):
         src = tmp_path / "g.src"
         trg = tmp_path / "g.trg"

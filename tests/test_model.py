@@ -1,6 +1,8 @@
 """The two-encoder transformer: attention primitives, encoder/decoder
 stacks, initialization, and checkpoint I/O."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from transference.model import (Checkpoint, ModelConfig, Vocab, _tables,
                                 encode, init_params,
                                 make_source_batch, multi_head_attention,
                                 padding_attention_mask, param_shapes,
-                                positional_encoding,
-                                scaled_dot_attention, PAD_ID, BOS_ID, EOS_ID)
+                                positional_encoding, PAD_ID, BOS_ID, EOS_ID)
 from transference.tensor import GradTape, Tensor, backward
 
+import reference as R
 from oracles import (attention_reference, finite_difference_gradients,
                      multi_head_reference, relative_gradient_error)
 
@@ -27,6 +29,11 @@ def tiny_config(**overrides):
                     max_positions=16)
     defaults.update(overrides)
     return ModelConfig(**defaults)
+
+
+def scaled_dot_attention(q, k, v, mask=None):
+    """Single-head softmax(q @ k^T / sqrt(d_k) + mask) @ v."""
+    return T.attention(q, k, v, mask, 1.0 / math.sqrt(q.shape[-1]))
 
 
 def tiny_batch(rng, config, batch=2, n_words=3, n_subs=5, ragged=True):
@@ -139,13 +146,13 @@ class TestScaledDotAttention:
         with pytest.raises(NumericError):
             scaled_dot_attention(q, Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))
 
-    def test_mask_tensor_and_one_tape_entry(self):
+    def test_broadcast_mask_and_one_tape_entry(self):
         rng = np.random.default_rng(10)
         q, k, v = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True,
                           dtype=np.float64) for _ in range(3))
         mask = np.where(np.arange(3) == 2, T.MASK_VALUE, 0.0)[None, None, :]
         with GradTape() as tape:
-            out = scaled_dot_attention(q, k, v, T.constant(mask, dtype=np.float64))
+            out = scaled_dot_attention(q, k, v, mask)
         assert len(tape.entries) == 1
         for b in range(2):
             np.testing.assert_allclose(
@@ -159,22 +166,22 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 3, 6))
         eye = Tensor(np.eye(6), dtype=np.float64)
-        params = {"wq": eye, "wk": eye, "wv": eye, "wo": eye}
+        params = {f"attn/{w}": eye for w in ("wq", "wk", "wv", "wo")}
         xt = Tensor(x, dtype=np.float64)
-        out = multi_head_attention(params, xt, xt, xt, None, heads=1)
+        out = multi_head_attention(params, "attn", xt, xt, None, heads=1)
         direct = scaled_dot_attention(xt, xt, xt)
         np.testing.assert_array_equal(out.data, direct.data)
 
     def test_head_dimensions_at_base_scale(self):
         cfg = ModelConfig(bpe_vocab_size=10, word_vocab_size=10)
         assert cfg.d_model == 512 and cfg.heads == 8
-        assert cfg.d_k == 64 and cfg.d_v == 64
+        assert cfg.d_model // cfg.heads == 64
         rng = np.random.default_rng(5)
-        params = {name: Tensor(rng.normal(size=(512, 512)) * 0.02,
-                               dtype=np.float64)
+        params = {f"attn/{name}": Tensor(rng.normal(size=(512, 512)) * 0.02,
+                                         dtype=np.float64)
                   for name in ("wq", "wk", "wv", "wo")}
         x = Tensor(rng.normal(size=(2, 3, 512)), dtype=np.float64)
-        out = multi_head_attention(params, x, x, x, None, heads=8)
+        out = multi_head_attention(params, "attn", x, x, None, heads=8)
         assert out.shape == (2, 3, 512)
 
     def test_matches_brute_force_per_head_oracle(self):
@@ -183,26 +190,50 @@ class TestMultiHeadAttention:
         weights = {name: rng.normal(size=(d_model, d_model))
                    for name in ("wq", "wk", "wv", "wo")}
         x_q = rng.normal(size=(length, d_model))
-        x_k = rng.normal(size=(length + 1, d_model))
-        x_v = rng.normal(size=(length + 1, d_model))
-        params = {name: Tensor(w, dtype=np.float64)
+        x_kv = rng.normal(size=(length + 1, d_model))
+        params = {f"attn/{name}": Tensor(w, dtype=np.float64)
                   for name, w in weights.items()}
-        out = multi_head_attention(params,
+        out = multi_head_attention(params, "attn",
                                    Tensor(x_q[None], dtype=np.float64),
-                                   Tensor(x_k[None], dtype=np.float64),
-                                   Tensor(x_v[None], dtype=np.float64),
+                                   Tensor(x_kv[None], dtype=np.float64),
                                    None, heads=heads)
-        expected = multi_head_reference(x_q, x_k, x_v, weights["wq"],
+        expected = multi_head_reference(x_q, x_kv, x_kv, weights["wq"],
                                         weights["wk"], weights["wv"],
                                         weights["wo"], heads)
         np.testing.assert_allclose(out.data[0], expected, atol=1e-6)
 
+    def test_folded_rows_match_per_row_oracle(self):
+        # keys and values projected once per source, and 3 query rows per
+        # source folded into one attention call, as in beam decoding; the
+        # second source masks its last two positions
+        rng = np.random.default_rng(7)
+        d_model, heads, sources, per_source, n, length = 4, 2, 2, 3, 2, 5
+        weights = {name: rng.normal(size=(d_model, d_model))
+                   for name in ("wq", "wk", "wv", "wo")}
+        params = {f"attn/{name}": Tensor(w, dtype=np.float64)
+                  for name, w in weights.items()}
+        memory = rng.normal(size=(sources, length, d_model))
+        x = rng.normal(size=(sources * per_source, n, d_model))
+        mask = np.zeros((sources, 1, 1, length))
+        mask[1, ..., 3:] = T.MASK_VALUE
+        kv = tuple(Tensor(memory @ weights[w], dtype=np.float64) for w in ("wk", "wv"))
+        out = multi_head_attention(params, "attn", Tensor(x, dtype=np.float64), None,
+                                   mask, heads, kv)
+        assert out.shape == x.shape
+        for row in range(sources * per_source):
+            source = row // per_source
+            expected = multi_head_reference(
+                x[row], memory[source], memory[source], weights["wq"], weights["wk"],
+                weights["wv"], weights["wo"], heads,
+                np.broadcast_to(mask[source, 0], (n, length)))
+            np.testing.assert_allclose(out.data[row], expected, rtol=0, atol=1e-10)
+
     def test_indivisible_heads_rejected(self):
         x = Tensor(np.zeros((1, 2, 6)))
         eye = Tensor(np.eye(6))
-        params = {"wq": eye, "wk": eye, "wv": eye, "wo": eye}
-        with pytest.raises(ConfigError):
-            multi_head_attention(params, x, x, x, None, heads=4)
+        params = {f"attn/{w}": eye for w in ("wq", "wk", "wv", "wo")}
+        with pytest.raises(ShapeError, match="not divisible by 4 heads"):
+            multi_head_attention(params, "attn", x, x, None, heads=4)
 
 
 class TestModelConfig:
@@ -275,18 +306,14 @@ class TestEncode:
                                  dtype=np.float64)
         x = T.add(x, T.constant(pe))
         mask = padding_attention_mask(batch.f_w_pad, np.float64)
-        attn = multi_head_attention(
-            {"wq": p["enc_word/layer_0/self_attn/wq"],
-             "wk": p["enc_word/layer_0/self_attn/wk"],
-             "wv": p["enc_word/layer_0/self_attn/wv"],
-             "wo": p["enc_word/layer_0/self_attn/wo"]},
-            x, x, x, mask, cfg.heads)
+        attn = multi_head_attention(p, "enc_word/layer_0/self_attn", x, x, mask,
+                                    cfg.heads)
         x = T.layer_norm(T.add(x, attn),
                          p["enc_word/layer_0/self_attn_norm/gain"],
                          p["enc_word/layer_0/self_attn_norm/bias"])
-        hidden = T.relu(T.add(T.matmul(x, p["enc_word/layer_0/ffn/w1"]),
+        hidden = T.relu(T.add(R.matmul(x, p["enc_word/layer_0/ffn/w1"]),
                               p["enc_word/layer_0/ffn/b1"]))
-        ffn = T.add(T.matmul(hidden, p["enc_word/layer_0/ffn/w2"]),
+        ffn = T.add(R.matmul(hidden, p["enc_word/layer_0/ffn/w2"]),
                     p["enc_word/layer_0/ffn/b2"])
         x = T.layer_norm(T.add(x, ffn),
                          p["enc_word/layer_0/ffn_norm/gain"],
@@ -305,27 +332,19 @@ class TestEncode:
             y = Tensor(enc2_data, dtype=np.float64)
             for i in range(cfg.n_layers_es):
                 prefix = f"enc_cross/layer_{i}"
-                attn = multi_head_attention(
-                    {"wq": p[f"{prefix}/self_attn/wq"],
-                     "wk": p[f"{prefix}/self_attn/wk"],
-                     "wv": p[f"{prefix}/self_attn/wv"],
-                     "wo": p[f"{prefix}/self_attn/wo"]},
-                    y, y, y, None, cfg.heads)
+                attn = multi_head_attention(p, f"{prefix}/self_attn", y, y, None,
+                                            cfg.heads)
                 y = T.layer_norm(T.add(y, attn),
                                  p[f"{prefix}/self_attn_norm/gain"],
                                  p[f"{prefix}/self_attn_norm/bias"])
-                cross = multi_head_attention(
-                    {"wq": p[f"{prefix}/cross_attn/wq"],
-                     "wk": p[f"{prefix}/cross_attn/wk"],
-                     "wv": p[f"{prefix}/cross_attn/wv"],
-                     "wo": p[f"{prefix}/cross_attn/wo"]},
-                    y, enc1, enc1, None, cfg.heads)
+                cross = multi_head_attention(p, f"{prefix}/cross_attn", y, enc1, None,
+                                             cfg.heads)
                 y = T.layer_norm(T.add(y, cross),
                                  p[f"{prefix}/cross_attn_norm/gain"],
                                  p[f"{prefix}/cross_attn_norm/bias"])
-                hidden = T.relu(T.add(T.matmul(y, p[f"{prefix}/ffn/w1"]),
+                hidden = T.relu(T.add(R.matmul(y, p[f"{prefix}/ffn/w1"]),
                                       p[f"{prefix}/ffn/b1"]))
-                ffn = T.add(T.matmul(hidden, p[f"{prefix}/ffn/w2"]),
+                ffn = T.add(R.matmul(hidden, p[f"{prefix}/ffn/w2"]),
                             p[f"{prefix}/ffn/b2"])
                 y = T.layer_norm(T.add(y, ffn),
                                  p[f"{prefix}/ffn_norm/gain"],
@@ -364,7 +383,7 @@ class TestDecodeForward:
             logits = decode_forward(cfg, ckpt.params, enc, tgt)
             select = np.zeros(logits.shape)
             select[0, 1, :] = 1.0  # loss reads only position 1's logits
-            loss = T.reduce_sum(T.mul(logits, T.constant(select)))
+            loss = R.reduce_sum(R.mul(logits, T.constant(select)))
         grads = backward(tape, loss)
         emb_grad = grads[ckpt.params["embed/bpe"]]
         np.testing.assert_array_equal(emb_grad[8], 0.0)

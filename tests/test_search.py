@@ -11,7 +11,7 @@ from transference.model import (BOS_ID, EOS_ID, PAD_ID, DecoderCache,
                                 decode_forward, encode, init_params,
                                 make_source_batch)
 from transference.search import (IncrementalDecoder, _expand, _top_tokens,
-                                 beam_search, beam_search_nbest, greedy_decode,
+                                 beam_search, beam_search_nbest,
                                  translate_batch, translate_batch_nbest)
 from transference.tensor import Tensor
 
@@ -208,13 +208,39 @@ class TestTranslateBatch:
         assert all(EOS_ID not in ids for ids in a)
 
     def test_beam_one_equals_greedy(self):
+        # against an argmax loop that re-runs the decoder over each whole
+        # prefix, one sentence at a time, and never outputs <pad> or <s>.
+        # Beam 1 keeps the argmax of the other tokens live, and EOS, which
+        # takes no beam slot, finishes a hypothesis whenever it ranks in
+        # the top two; the best hypothesis by log-probability wins.  With
+        # this seed the first sentence runs to max_len and the second ends
+        # by EOS, although its argmax path runs on.
         cfg = search_config()
-        ckpt = init_params(cfg, seed=4)
-        batch = make_source_batch([[4, 5]], [[4, 5, 6]])
-        beam1 = translate_batch(ckpt, batch, beam=1, max_len=6,
+        ckpt = init_params(cfg, seed=5)
+        batch = make_source_batch([[4, 5], [7, 8, 9]], [[4, 5, 6], [8, 9]])
+        max_len = 6
+        beam1 = translate_batch(ckpt, batch, beam=1, max_len=max_len,
                                 length_alpha=0.0)
-        greedy = greedy_decode(ckpt, batch, max_len=6)
+        greedy = []
+        for row in range(2):
+            encoded = encode(cfg, ckpt.params, sentence(batch, row))
+            prefix, logprob, pool = [BOS_ID], 0.0, []
+            while len(prefix) <= max_len:
+                logits = decode_forward(cfg, ckpt.params, encoded,
+                                        np.array([prefix])).data[0, -1]
+                shifted = logits - logits.max()
+                logprobs = shifted - np.log(np.exp(shifted).sum())
+                logprobs[[PAD_ID, BOS_ID]] = -np.inf
+                first, second = np.argsort(-logprobs, kind="stable")[:2]
+                if EOS_ID in (first, second):
+                    pool.append((logprob + logprobs[EOS_ID], prefix[1:]))
+                token = second if first == EOS_ID else first
+                logprob += logprobs[token]
+                prefix.append(int(token))
+            pool.append((logprob, prefix[1:]))
+            greedy.append(max(pool, key=lambda entry: entry[0])[1])
         assert beam1 == greedy
+        assert len(greedy[0]) == max_len and len(greedy[1]) < max_len
 
     def test_empty_source_rejected(self):
         cfg = search_config()

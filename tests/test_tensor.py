@@ -1,5 +1,9 @@
 """Tensor ops, tape-based backward, and gradient checks."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,22 +11,25 @@ from transference import tensor as T
 from transference.errors import ConfigError, ContractError, NumericError, ShapeError
 from transference.tensor import GradTape, Tensor, backward
 
+import reference as R
 from oracles import (finite_difference_gradients, matmul_reference,
                      relative_gradient_error)
 
 
 class TestMatmul:
+    """The program's GEMM: ``T.linear`` without a bias."""
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         a = Tensor(rng.normal(size=(2, 2)), dtype=np.float64)
         eye = Tensor(np.eye(2), dtype=np.float64)
-        np.testing.assert_array_equal(T.matmul(a, eye).data, a.data)
+        np.testing.assert_array_equal(T.linear(a, eye).data, a.data)
 
     def test_zeros(self):
         rng = np.random.default_rng(1)
         zeros = Tensor(np.zeros((3, 4)))
         b = Tensor(rng.normal(size=(4, 2)))
-        out = T.matmul(zeros, b)
+        out = T.linear(zeros, b)
         assert out.shape == (3, 2)
         np.testing.assert_array_equal(out.data, np.zeros((3, 2), dtype=np.float32))
 
@@ -30,19 +37,19 @@ class TestMatmul:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 5))
-        out = T.matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
+        out = T.linear(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
         np.testing.assert_allclose(out.data, matmul_reference(a, b),
                                    rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
     def test_batched_broadcast(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(2, 3, 4))
         w = rng.normal(size=(4, 5))
-        out = T.matmul(Tensor(a, dtype=np.float64), Tensor(w, dtype=np.float64))
+        out = T.linear(Tensor(a, dtype=np.float64), Tensor(w, dtype=np.float64))
         for i in range(2):
             np.testing.assert_allclose(out.data[i], matmul_reference(a[i], w),
                                        rtol=1e-12)
@@ -50,34 +57,34 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_constant_vector(self):
-        out = T.softmax(Tensor([3.0, 3.0, 3.0], dtype=np.float64))
+        out = R.softmax(Tensor([3.0, 3.0, 3.0], dtype=np.float64))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 7))
-        a = T.softmax(Tensor(x, dtype=np.float64)).data
-        b = T.softmax(Tensor(x + 11.5, dtype=np.float64)).data
+        a = R.softmax(Tensor(x, dtype=np.float64)).data
+        b = R.softmax(Tensor(x + 11.5, dtype=np.float64)).data
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_analytic_values(self):
-        out = T.softmax(Tensor([0.0, np.log(3.0)], dtype=np.float64))
+        out = R.softmax(Tensor([0.0, np.log(3.0)], dtype=np.float64))
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
 
     def test_rows_sum_to_one_at_large_magnitude(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1e4, 1e4, size=(20, 13))
-        out = T.softmax(Tensor(x, dtype=np.float64), axis=-1)
+        out = R.softmax(Tensor(x, dtype=np.float64), axis=-1)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
         assert np.isfinite(out.data).all()
 
     def test_nan_input_raises(self):
         with pytest.raises(NumericError):
-            T.softmax(Tensor([1.0, np.nan]))
+            R.softmax(Tensor([1.0, np.nan]))
 
     def test_bad_axis(self):
         with pytest.raises(ShapeError):
-            T.softmax(Tensor([1.0, 2.0]), axis=3)
+            R.softmax(Tensor([1.0, 2.0]), axis=3)
 
 
 class TestLayerNorm:
@@ -124,7 +131,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with GradTape() as tape:
-            loss = T.reduce_sum(x)
+            loss = R.reduce_sum(x)
         grads = backward(tape, loss)
         np.testing.assert_array_equal(grads[x], np.ones((2, 3), dtype=np.float32))
 
@@ -133,7 +140,7 @@ class TestBackward:
         x = Tensor(rng.normal(size=(1, 5)), requires_grad=True, dtype=np.float64)
         y = Tensor(rng.normal(size=(5, 1)), requires_grad=True, dtype=np.float64)
         with GradTape() as tape:
-            loss = T.reduce_sum(T.matmul(x, y))
+            loss = R.reduce_sum(R.matmul(x, y))
         grads = backward(tape, loss)
         np.testing.assert_allclose(grads[x], y.data.T, rtol=1e-12)
         np.testing.assert_allclose(grads[y], x.data.T, rtol=1e-12)
@@ -149,7 +156,7 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(3), requires_grad=True)
         with GradTape() as tape:
-            used = T.reduce_sum(T.scale(x, 1.0))
+            used = R.reduce_sum(T.scale(x, 1.0))
             _unused = T.scale(y, 2.0)
         grads = backward(tape, used)
         np.testing.assert_array_equal(grads[y], np.zeros(3, dtype=np.float32))
@@ -163,8 +170,8 @@ class TestBackward:
         x = Tensor(x_data.copy(), requires_grad=True, dtype=np.float64)
 
         with GradTape() as tape:
-            xt = T.transpose(x, (1, 0))
-            loss = T.reduce_sum(T.matmul(x, xt))
+            xt = R.transpose(x, (1, 0))
+            loss = R.reduce_sum(R.matmul(x, xt))
         grads = backward(tape, loss)
 
         def loss_fn():
@@ -234,14 +241,14 @@ class TestGradientChecks:
     def test_matmul(self):
         rng = np.random.default_rng(11)
         arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}
-        _gradcheck_op(lambda t: T.reduce_sum(T.matmul(t["a"], t["b"])), arrays)
+        _gradcheck_op(lambda t: R.reduce_sum(R.matmul(t["a"], t["b"])), arrays)
 
     def test_softmax_weighted(self):
         rng = np.random.default_rng(12)
         w = rng.normal(size=(3, 5))
         arrays = {"x": rng.normal(size=(3, 5))}
         _gradcheck_op(
-            lambda t: T.reduce_sum(T.mul(T.softmax(t["x"], axis=-1),
+            lambda t: R.reduce_sum(R.mul(R.softmax(t["x"], axis=-1),
                                          T.constant(w, dtype=np.float64))),
             arrays)
 
@@ -250,7 +257,7 @@ class TestGradientChecks:
         w = rng.normal(size=(2, 6))
         arrays = {"x": rng.normal(size=(2, 6))}
         _gradcheck_op(
-            lambda t: T.reduce_sum(T.mul(T.log_softmax(t["x"], axis=-1),
+            lambda t: R.reduce_sum(R.mul(R.log_softmax(t["x"], axis=-1),
                                          T.constant(w, dtype=np.float64))),
             arrays)
 
@@ -259,34 +266,34 @@ class TestGradientChecks:
         arrays = {"x": rng.normal(size=(2, 3, 6)),
                   "g": rng.normal(size=6), "b": rng.normal(size=6)}
         _gradcheck_op(
-            lambda t: T.reduce_sum(
-                T.mul(T.layer_norm(t["x"], t["g"], t["b"]),
+            lambda t: R.reduce_sum(
+                R.mul(T.layer_norm(t["x"], t["g"], t["b"]),
                       T.constant(np.arange(36, dtype=np.float64).reshape(2, 3, 6)))),
             arrays)
 
     def test_relu(self):
         rng = np.random.default_rng(15)
         arrays = {"x": rng.normal(size=(4, 4)) + 0.05}
-        _gradcheck_op(lambda t: T.reduce_sum(T.relu(t["x"])), arrays)
+        _gradcheck_op(lambda t: R.reduce_sum(T.relu(t["x"])), arrays)
 
     def test_embedding_gather(self):
         rng = np.random.default_rng(16)
         ids = np.array([[0, 2], [1, 2]])
         arrays = {"table": rng.normal(size=(3, 4))}
         _gradcheck_op(
-            lambda t: T.reduce_sum(T.embedding(t["table"], ids)), arrays)
+            lambda t: R.reduce_sum(T.embedding(t["table"], ids)), arrays)
 
     def test_gather_last(self):
         rng = np.random.default_rng(17)
         idx = np.array([[1], [0]])
         arrays = {"x": rng.normal(size=(2, 3))}
-        _gradcheck_op(lambda t: T.reduce_sum(T.gather_last(t["x"], idx)), arrays)
+        _gradcheck_op(lambda t: R.reduce_sum(R.gather_last(t["x"], idx)), arrays)
 
     def test_mul_add_broadcast(self):
         rng = np.random.default_rng(18)
         arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(3,))}
         _gradcheck_op(
-            lambda t: T.reduce_sum(T.mul(T.add(t["a"], t["b"]), t["a"])), arrays)
+            lambda t: R.reduce_sum(R.mul(T.add(t["a"], t["b"]), t["a"])), arrays)
 
 
 class TestTapeStructure:
@@ -295,7 +302,7 @@ class TestTapeStructure:
         with GradTape() as tape:
             a = T.scale(x, 2.0)
             b = T.add(a, x)
-            c = T.reduce_sum(b)
+            c = R.reduce_sum(b)
         assert [id(e.output) for e in tape.entries] == [id(a), id(b), id(c)]
         # reverse replay is reverse topological: every op's inputs were
         # produced earlier on the tape
@@ -315,7 +322,39 @@ class TestTapeStructure:
         assert out.requires_grad
 
 
+def _tensor_calls_in_src() -> set[str]:
+    """Names of ``transference.tensor`` that a module of the package other
+    than ``tensor.py`` reads, as ``T.name`` or imported by name."""
+    src = Path(T.__file__).parent
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases, imported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == "tensor":
+                    imported |= {a.asname or a.name for a in node.names}
+                elif node.module is None:
+                    aliases |= {a.asname or a.name for a in node.names
+                                if a.name == "tensor"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id in imported:
+                used.add(node.id)
+    return used
+
+
 class TestTensorInvariants:
+    def test_every_public_function_has_a_caller_in_src(self):
+        public = {name for name, obj in vars(T).items()
+                  if inspect.isfunction(obj) and obj.__module__ == T.__name__
+                  and not name.startswith("_")}
+        assert public - _tensor_calls_in_src() == set()
+
     def test_shape_data_consistency(self):
         t = Tensor(np.zeros((2, 3, 4)))
         assert int(np.prod(t.shape)) == t.size
@@ -323,7 +362,7 @@ class TestTensorInvariants:
     def test_forward_ops_stay_finite(self):
         rng = np.random.default_rng(19)
         x = Tensor(rng.uniform(-50, 50, size=(6, 8)), dtype=np.float64)
-        outs = [T.softmax(x), T.log_softmax(x), T.relu(x),
+        outs = [R.softmax(x), R.log_softmax(x), T.relu(x),
                 T.layer_norm(x, Tensor(np.ones(8), dtype=np.float64),
                              Tensor(np.zeros(8), dtype=np.float64))]
         for out in outs:
@@ -333,11 +372,11 @@ class TestTensorInvariants:
 def _unfused_attention(q, k, v, mask, scale):
     """The attention core as separate tape ops."""
     nd = len(k.shape)
-    k_t = T.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    scores = T.scale(T.matmul(q, k_t), scale)
+    k_t = R.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+    scores = T.scale(R.matmul(q, k_t), scale)
     if mask is not None:
         scores = T.add(scores, T.constant(mask, dtype=scores.dtype))
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    return R.matmul(R.softmax(scores, axis=-1), v)
 
 
 def _tape_split_attention(q, k, v, mask, scale, heads):
@@ -345,8 +384,8 @@ def _tape_split_attention(q, k, v, mask, scale, heads):
     the single-head op: [B, len, d] -> [B, heads, len, d / heads] -> back."""
     def split(x):
         b, n, d = x.shape
-        return T.transpose(T.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
-    out = T.transpose(T.attention(split(q), split(k), split(v), mask, scale),
+        return R.transpose(T.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
+    out = R.transpose(T.attention(split(q), split(k), split(v), mask, scale),
                       (0, 2, 1, 3))
     return T.reshape(out, out.shape[:2] + (out.shape[2] * out.shape[3],))
 
@@ -354,13 +393,13 @@ def _tape_split_attention(q, k, v, mask, scale, heads):
 def _unfused_smoothed_ce(logits, targets, counted, eps):
     """The label-smoothed loss as separate tape ops."""
     vocab = logits.shape[-1]
-    logp = T.log_softmax(logits, axis=-1)
-    gold = T.reshape(T.gather_last(logp, targets[..., None]), targets.shape)
+    logp = R.log_softmax(logits, axis=-1)
+    gold = T.reshape(R.gather_last(logp, targets[..., None]), targets.shape)
     smooth = eps / (vocab - 1)
     per_pos = T.add(T.scale(gold, -(1.0 - eps - smooth)),
-                    T.scale(T.reduce_sum(logp, axis=-1), -smooth))
-    masked = T.mul(per_pos, T.constant(counted.astype(np.float64)))
-    return T.scale(T.reduce_sum(masked), 1.0 / int(counted.sum()))
+                    T.scale(R.reduce_sum(logp, axis=-1), -smooth))
+    masked = R.mul(per_pos, T.constant(counted.astype(np.float64)))
+    return T.scale(R.reduce_sum(masked), 1.0 / int(counted.sum()))
 
 
 def _attention_cases():
@@ -386,7 +425,7 @@ def _attention_cases():
 def _weighted_sum(out, seed):
     """A scalar that reads every output entry with its own weight."""
     w = np.random.default_rng(seed).normal(size=out.shape)
-    return T.reduce_sum(T.mul(out, T.constant(w, dtype=np.float64)))
+    return R.reduce_sum(R.mul(out, T.constant(w, dtype=np.float64)))
 
 
 def _grads_of(build, arrays):
@@ -478,11 +517,22 @@ class TestFusedOps:
         _gradcheck_op(fused, arrays)
         value, g_fused = _grads_of(fused, arrays)
         plain, g_plain = _grads_of(lambda t: _weighted_sum(
-            T.add(T.matmul(t["x"], t["w"]), t["b"]), 4), arrays)
+            T.add(R.matmul(t["x"], t["w"]), t["b"]), 4), arrays)
         assert abs(value.item() - plain.item()) <= 1e-12
         for name in arrays:
             np.testing.assert_allclose(g_fused[name], g_plain[name],
                                        rtol=0, atol=1e-12)
+
+    def test_attention_shape_errors(self):
+        q = Tensor(np.ones((2, 3, 6)))
+        with pytest.raises(ShapeError, match="query/key depth"):
+            T.attention(q, Tensor(np.ones((2, 4, 4))), Tensor(np.ones((2, 4, 6))))
+        with pytest.raises(ShapeError, match="key/value length"):
+            T.attention(q, Tensor(np.ones((2, 4, 6))), Tensor(np.ones((2, 5, 6))))
+        with pytest.raises(ShapeError, match="not divisible by 4 heads"):
+            T.attention(q, q, q, None, 1.0, heads=4)
+        with pytest.raises(ShapeError, match="not divisible by 2 heads"):
+            T.attention(q, q, Tensor(np.ones((2, 3, 5))), None, 1.0, heads=2)
 
     def test_linear_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -497,7 +547,7 @@ class TestFusedOps:
     def test_rows_times_matrix_gradients(self, a_shape):
         rng = np.random.default_rng(33)
         arrays = {"a": rng.normal(size=a_shape), "b": rng.normal(size=(4, 3))}
-        build = lambda t: _weighted_sum(T.matmul(t["a"], t["b"]), 5)
+        build = lambda t: _weighted_sum(T.linear(t["a"], t["b"]), 5)
         _gradcheck_op(build, arrays)
         _, grads = _grads_of(build, arrays)
         # the weight gradient equals the per-entry products summed away
@@ -535,9 +585,9 @@ class TestFusedOps:
         c = T.constant(np.ones((2, 3)))
         w = T.constant(np.ones((3, 2)))
         x3 = Tensor(np.ones((1, 2, 3)), requires_grad=True)
-        ops = {"add": lambda: T.add(x, c), "sub": lambda: T.sub(c, x),
-               "mul": lambda: T.mul(x, c), "matmul": lambda: T.matmul(x, w),
-               "rows_matmul": lambda: T.matmul(x3, w)}
+        ops = {"add": lambda: T.add(x, c), "sub": lambda: R.sub(c, x),
+               "mul": lambda: R.mul(x, c), "matmul": lambda: R.matmul(x, w),
+               "rows_matmul": lambda: T.linear(x3, w)}
         for name, op in ops.items():
             with GradTape() as tape:
                 out = op()
