@@ -16,6 +16,7 @@ from .bpe import BpeModel, apply_bpe, decode_bpe
 from .errors import ConfigError, TransferenceError
 from .metrics import bleu, ter
 from .model import Checkpoint, Vocab
+from .ngram import MAX_ORDER
 from .pipeline import (PipelineConfig, clean_pairs, evaluate_files,
                        learn_merges, lm_train, load_pipeline_config, map_lines,
                        read_pairs, read_tokens, run_pipeline, score_corpus,
@@ -28,6 +29,13 @@ from .training import average_checkpoints
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse's exit(2) onto exit code 1
         raise ConfigError(message)
+
+
+def _cmd_lm_train(args) -> None:
+    if not 1 <= args.order <= MAX_ORDER:
+        raise ConfigError(f"--order must be from 1 to {MAX_ORDER}, "
+                          f"got {args.order}")
+    lm_train(args.input, args.model, args.order)
 
 
 def _cmd_score(args) -> None:
@@ -202,7 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = sub_parser("lm-train", lambda a: lm_train(a.input, a.model, a.order),
+    p = sub_parser("lm-train", _cmd_lm_train,
                    help="train an n-gram language model")
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)

@@ -90,6 +90,9 @@ class PipelineConfig:
                                     ("decode", "max_len", self.decode_max_len)):
             if value < 1:
                 raise ConfigError(f"[{section}] {key} must be >= 1")
+        if self.lm_order > N.MAX_ORDER:
+            raise ConfigError(f"[lm] order must be <= {N.MAX_ORDER}, "
+                              f"got {self.lm_order}")
         if not math.isfinite(self.length_alpha):
             raise ConfigError(f"[decode] length_alpha must be finite, "
                               f"got {self.length_alpha}")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +99,56 @@ class TestLmCommands:
         assert len(read_lines(f"{prefix}.selected.src")) == 2
         assert len(read_lines(f"{prefix}.sorted_all.src")) == 3
 
+
+    def test_files_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # set iteration order changes with PYTHONHASHSEED; a rerun inside
+        # one process cannot see that, so each seed gets its own process
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(40)] + ["<s>", "<unk>", "</s>"]
+        corpus = {}
+        for side in ("src", "trg"):
+            lines = [" ".join(words[i] for i in rng.integers(0, len(words), 6))
+                     for _ in range(30)]
+            for name, part in (("in", lines[:10]), ("out", lines)):
+                corpus[name, side] = str(tmp_path / f"{name}.{side}")
+                write_lines(corpus[name, side], part)
+        script = ("import json, sys\nfrom transference.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    assert main(argv) == 0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            out.mkdir()
+            models = {key: str(out / f"{key[0]}.{key[1]}.lm") for key in corpus}
+            commands = [["lm-train", "--input", corpus[key], "--model", models[key]]
+                        for key in corpus]
+            commands.append(["score", "--source", corpus["out", "src"],
+                             "--target", corpus["out", "trg"],
+                             "--lm-in-source", models["in", "src"],
+                             "--lm-out-source", models["out", "src"],
+                             "--lm-in-target", models["in", "trg"],
+                             "--lm-out-target", models["out", "trg"],
+                             "--output", str(out / "scores.tsv")])
+            subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                           check=True, env=dict(os.environ, PYTHONHASHSEED=seed,
+                                                PYTHONPATH=src))
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(runs[0]) == ["in.src.lm", "in.trg.lm", "out.src.lm",
+                                   "out.trg.lm", "scores.tsv"]
+        assert runs[0] == runs[1]
+
+    def test_order_above_bound_is_1_and_named(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        write_lines(str(corpus), ["a b", "b a", "a a"])
+        model = tmp_path / "c.lm"
+        assert run_cli("lm-train", "--input", str(corpus), "--model",
+                       str(model), "--order", "11") == 1
+        assert "--order must be from 1 to 10, got 11" in capsys.readouterr().err
+        assert not model.exists()
+        assert run_cli("lm-train", "--input", str(corpus), "--model",
+                       str(model), "--order", "10") == 0
+        assert NGramLM.load(str(model)).order == 10
 
     def test_empty_sentence_in_score_is_2_and_named(self, tmp_path, capsys):
         src = tmp_path / "g.src"
@@ -304,10 +356,11 @@ class TestConfigErrors:
         ("decode", "max_len", "0"),
         ("decode", "length_alpha", "nan"),
         ("lm", "order", "0"),
+        ("lm", "order", "11"),
         ("model", "word_vocab_size", "-2"),
     ], ids=["bad_int", "bad_float", "unknown_key", "train_seed", "negative",
             "negative_clip", "zero_clip", "nan_clip", "nothing_to_finetune",
-            "zero_beam", "zero_max_len", "nan_alpha", "zero_order",
+            "zero_beam", "zero_max_len", "nan_alpha", "zero_order", "order_11",
             "negative_word_vocab"])
     def test_bad_config_is_1_and_named(self, toy_files, tmp_path, capsys,
                                        section, key, value):
@@ -533,33 +586,53 @@ class TestModelFileErrors:
         err = capsys.readouterr().err
         assert f"{merges} line 3" in err and "'a b c'" in err
 
+    # a model file over the vocabulary </s>=0 <unk>=1 a=2 (start marker 3)
+    # whose level 0 counts a twice and </s> once; each case forges one
+    # part of it
+    @staticmethod
+    def _model(order=1, vocab=("</s>", "<unk>", "a"), levels=None, **level):
+        level0 = dict({"contexts": [], "tokens": [0, 2], "counts": [1, 2]}, **level)
+        return json.dumps({"order": order, "vocab": list(vocab),
+                           "levels": [level0] if levels is None else levels})
+
     @pytest.mark.parametrize("text, cause", [
-        ('{"order": 2, "vocab": ["a"]}', "no 'counts' key"),
+        ('{"order": 2, "vocab": ["a"]}', "no 'levels' key"),
         ("order 2\n", "not a language model"),
-        ('{"order": 2, "vocab": ["a"], "counts": [[]]}', "1 levels"),
-        ('{"order": 0, "vocab": ["<unk>", "</s>"], "counts": []}',
-         "order must be an integer >= 1, got 0"),
-        ('{"order": 1, "vocab": [], "counts": [[]]}', "vocabulary has no '<unk>'"),
-        ('{"order": 1, "vocab": ["<unk>", "a"], "counts": [[]]}',
+        (_model(order=2), "1 levels for a model of order 2"),
+        (_model(order=0, levels=[]),
+         "order must be an integer from 1 to 10, got 0"),
+        (_model(order=11, levels=[]),
+         "order must be an integer from 1 to 10, got 11"),
+        (_model(vocab=[], tokens=[], counts=[]), "vocabulary has no '<unk>'"),
+        (_model(vocab=["<unk>", "a"], tokens=[1], counts=[2]),
          "vocabulary has no '</s>'"),
-        ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
-         '"counts": [[[[], [["a", -3], ["</s>", 2]]]]]}', "not a finite number >= 1"),
-        ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
-         '"counts": [[[[], [["a", NaN]]]]]}', "not a finite number >= 1"),
-        ('{"order": 2, "vocab": ["<unk>", "</s>", "a"], '
-         '"counts": [[[[], [["a", 2]]]], [[["a", "a"], [["a", 2]]]]]}',
-         "a level-1 context has 2 tokens, expected 1"),
-        ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
-         '"counts": [[[[], [["a", 1%s]]]]]}' % ("0" * 400), "not a language model"),
-        ('{"order": 1, "vocab": ["<unk>", "</s>", "a"], '
-         '"counts": [[[[], [["a", 2], ["zz", 50]]]]]}',
-         "level 0 counts a token outside the vocabulary"),
-        ('{"order": 2, "vocab": ["<unk>", "</s>", "a"], '
-         '"counts": [[[[], [["a", 2]]]], [[["zz"], [["a", 2]]]]]}',
+        (_model(vocab=["a", "</s>", "<unk>"]),
+         "vocabulary is not a sorted list of distinct tokens"),
+        (_model(vocab=["</s>", "<s>", "<unk>", "a"], tokens=[0, 3]),
+         "vocabulary holds the start marker '<s>'"),
+        (_model(counts=[1, -3]), "level 0 holds a count that is not an integer >= 1"),
+        (_model(counts=[1, float("nan")]),
+         "level 0 holds a count that is not an integer >= 1"),
+        (_model(counts=[1, 2.5]), "level 0 holds a count that is not an integer >= 1"),
+        (_model(counts=[1, 10 ** 400]), "a float holds exactly"),
+        (_model(counts=[1]), "level 0 has 1 counts for 2 tokens"),
+        (_model(order=2, levels=[
+            {"contexts": [], "tokens": [2], "counts": [2]},
+            {"contexts": [2, 2], "tokens": [2], "counts": [2]}]),
+         "level 1 has 2 context ids for 1 n-grams, expected 1 each"),
+        (_model(tokens=[0, "a"]), "level 0 holds an id that is not an integer"),
+        (_model(tokens=[0, 3]), "level 0 counts a token outside the vocabulary"),
+        (_model(order=2, levels=[
+            {"contexts": [], "tokens": [2], "counts": [2]},
+            {"contexts": [7], "tokens": [2], "counts": [2]}]),
          "a level-1 context holds a token outside the vocabulary"),
-    ], ids=["no_counts", "not_json", "missing_level", "order_0", "empty_vocab",
-            "no_eos", "negative_count", "nan_count", "context_length",
-            "huge_count", "foreign_target", "foreign_context"])
+        (_model(tokens=[2, 0]), "level 0's n-grams are not sorted and distinct"),
+        (_model(tokens=[2, 2]), "level 0's n-grams are not sorted and distinct"),
+    ], ids=["no_counts", "not_json", "missing_level", "order_0", "order_11",
+            "empty_vocab", "no_eos", "unsorted_vocab", "start_marker_in_vocab",
+            "negative_count", "nan_count", "fractional_count", "huge_count",
+            "count_missing", "context_length", "id_not_int", "foreign_target",
+            "foreign_context", "unsorted", "repeated"])
     def test_malformed_language_model_is_2(self, tmp_path, capsys, text, cause):
         src = tmp_path / "g.src"
         trg = tmp_path / "g.trg"

@@ -92,3 +92,13 @@ def test_negative_n_select_fails_before_the_first_stage(toy_files, tmp_path, cap
     assert main(["pipeline", "--config", ini]) == 1
     assert "n_select must be >= 0" in capsys.readouterr().err
     assert not work.exists()
+
+
+def test_order_above_bound_fails_before_the_first_stage(toy_files, tmp_path,
+                                                        capsys):
+    work = tmp_path / "work"
+    ini = write_pipeline_ini(tmp_path / "c.ini", toy_files, str(work),
+                             {"lm": {"order": 11}})
+    assert main(["pipeline", "--config", ini]) == 1
+    assert "[lm] order must be <= 10, got 11" in capsys.readouterr().err
+    assert not work.exists()

@@ -1,5 +1,6 @@
 """Witten-Bell n-gram models and cross-entropy-difference scoring."""
 
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -9,29 +10,59 @@ import pytest
 
 from transference.corpus import SentencePair
 from transference.errors import ConfigError, ContractError, DataError
-from transference.ngram import (BOS, EOS, UNK, NGramLM, cross_entropy,
-                                rank_and_split, read_scores_tsv, score_pair,
-                                train_lm, write_scores_tsv, ScoredPair)
+from transference.ngram import (BOS, EOS, MAX_ORDER, UNK, NGramLM,
+                                cross_entropy, rank_and_split, read_scores_tsv,
+                                score_pair, train_lm, write_scores_tsv,
+                                ScoredPair)
 
 
-def recursive_prob(lm, token, context):
+def stored_counts(lm):
+    """Per level, context -> {token: count} in strings (the start marker
+    as BOS), read straight from the model's arrays."""
+    names = lm.vocab + [BOS]
+    levels = []
+    for ngrams, counts in lm.levels:
+        level = {}
+        for row, count in zip(ngrams.tolist(), counts.tolist()):
+            *context, token = (names[i] for i in row)
+            level.setdefault(tuple(context), {})[token] = count
+        levels.append(level)
+    return levels
+
+
+def recursive_prob(counts, vocab_size, token, context):
     """Witten-Bell interpolation written as the textbook recursion over
-    ``lm.counts``: the reference for NGramLM's loop."""
+    ``stored_counts``: the reference for NGramLM's loop and table."""
     if not context:
-        lower = 1.0 / len(lm.vocab)
+        lower = 1.0 / vocab_size
     else:
-        lower = recursive_prob(lm, token, context[1:])
-    bucket = lm.counts[len(context)].get(context)
+        lower = recursive_prob(counts, vocab_size, token, context[1:])
+    bucket = counts[len(context)].get(context)
     if not bucket:
         return lower
     total, types = sum(bucket.values()), len(bucket)
     return (bucket.get(token, 0) + types * lower) / (total + types)
 
 
+def reference_entropy(lm, sentence, counts=None):
+    """cross_entropy by ``recursive_prob`` over every event, summed in
+    sentence order."""
+    counts = stored_counts(lm) if counts is None else counts
+    mapped = [lm.map_token(t) for t in sentence]
+    padded = [BOS] * (lm.order - 1) + mapped + [EOS]
+    total = 0.0
+    for i in range(len(mapped) + 1):
+        total -= math.log2(recursive_prob(counts, len(lm.vocab),
+                                          padded[i + lm.order - 1],
+                                          tuple(padded[i:i + lm.order - 1])))
+    return total / (len(mapped) + 1)
+
+
 def uniform_lm(tokens):
     """Direct-construction LM with no counts: every probability is 1/|V|."""
-    vocab = set(tokens) | {UNK, EOS}
-    return NGramLM(1, vocab, [{}])
+    vocab = sorted(set(tokens) | {UNK, EOS})
+    return NGramLM(1, vocab, [(np.zeros((0, 1), np.int64),
+                               np.zeros(0, np.int64))])
 
 
 class TestTrainLM:
@@ -87,7 +118,8 @@ class TestTrainLM:
                     for k in range(order):
                         expected[k][(tuple(tokens[i - k:i]), tokens[i])] += 1
             got = [Counter({(ctx, tok): n for ctx, bucket in level.items()
-                            for tok, n in bucket.items()}) for level in lm.counts]
+                            for tok, n in bucket.items()})
+                   for level in stored_counts(lm)]
             assert got == expected, f"order {order}"
 
     def test_context_distributions_normalize(self):
@@ -96,9 +128,9 @@ class TestTrainLM:
         corpus = [[words[i] for i in rng.integers(0, 4, size=rng.integers(2, 7))]
                   for _ in range(30)]
         lm = train_lm(corpus, order=3, min_count=1)
-        for level in lm.counts:
+        for level in stored_counts(lm):
             for context in list(level)[:40]:
-                total = sum(lm._prob(w, context) for w in lm.vocab)
+                total = sum(lm.prob(w, context) for w in lm.vocab)
                 assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -115,7 +147,9 @@ class TestCrossEntropy:
                      + math.log2(lm.prob(EOS, ("b",)))) / 3
         assert cross_entropy(lm, ["a", "b"]) == pytest.approx(expected, abs=1e-12)
 
-    def test_equals_recursive_reference_exactly(self):
+    def test_equals_recursive_reference_exactly(self, tmp_path):
+        # the trained model and its save -> load copy, whose table is
+        # built from the file
         rng = np.random.default_rng(5)
         words = ["alfa", "beta", "gama", "delta", "eta"]
         corpus = [[words[i] for i in rng.integers(0, 5, size=rng.integers(1, 9))]
@@ -124,12 +158,49 @@ class TestCrossEntropy:
                      ["gama"], ["eta", "delta", "alfa", "nic", "gama", "eta"]]
         for order in (1, 2, 3, 4):
             lm = train_lm(corpus, order=order)
+            path = str(tmp_path / f"lm{order}.json")
+            lm.save(path)
+            loaded = NGramLM.load(path)
+            counts = stored_counts(lm)
             for sentence in sentences:
-                events = lm.sentence_events(sentence)
-                total = 0.0
-                for target, context in events:
-                    total -= math.log2(recursive_prob(lm, target, context))
-                assert cross_entropy(lm, sentence) == total / len(events)
+                expected = reference_entropy(lm, sentence, counts)
+                assert cross_entropy(lm, sentence) == expected
+                assert cross_entropy(loaded, sentence) == expected
+
+    def test_start_marker_token_is_unknown(self):
+        # a literal <s> is a singleton like any other: UNK when training
+        # and when scoring, never the start marker of the padded contexts
+        lm = train_lm([["a", "b"]] * 3 + [["a", "<s>", "b"]], order=2)
+        assert BOS not in lm.vocab and lm.map_token(BOS) == UNK
+        assert (cross_entropy(lm, ["a", "<s>", "b"])
+                == cross_entropy(lm, ["a", "zzz", "b"]))
+        assert BOS not in train_lm([[BOS, BOS, "a"]] * 2, order=2).vocab
+
+    def test_counted_ngram_without_counted_suffix(self, tmp_path):
+        # order 3 over </s>=0 <unk>=1 a=2 b=3, start marker 4: level 2
+        # counts "<s> <s> b", whose level-1 context <s> never saw b, and
+        # "a b b", whose level-1 context b was never counted at all
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps({
+            "order": 3, "vocab": [EOS, UNK, "a", "b"],
+            "levels": [{"contexts": [], "tokens": [0, 2, 3], "counts": [2, 3, 1]},
+                       {"contexts": [2, 4], "tokens": [3, 2], "counts": [1, 2]},
+                       {"contexts": [2, 3, 4, 4], "tokens": [3, 3],
+                        "counts": [1, 2]}]}), encoding="utf-8")
+        lm = NGramLM.load(str(path))
+        counts = stored_counts(lm)
+        assert counts[2] == {("a", "b"): {"b": 1}, (BOS, BOS): {"b": 2}}
+        for sentence in (["b"], ["a", "b", "b"], ["b", "a"], ["zz", "a"]):
+            assert cross_entropy(lm, sentence) == reference_entropy(lm, sentence)
+        for context in ((BOS, BOS), ("a", "b"), ("b", "a"), (BOS, "a")):
+            for token in lm.vocab:
+                assert lm.prob(token, context) == recursive_prob(
+                    counts, len(lm.vocab), token, context)
+
+    def test_order_above_bound_rejected(self):
+        with pytest.raises(ConfigError, match="got 11"):
+            train_lm([["a", "b"]], order=MAX_ORDER + 1)
+        assert train_lm([["a", "b"]] * 2, order=MAX_ORDER).order == MAX_ORDER
 
     def test_memorizing_lm_near_zero(self):
         lm = train_lm([["b", "c", "d", "e"]] * 50, order=3)
@@ -247,8 +318,8 @@ def test_save_load_round_trip(tmp_path):
         path = str(tmp_path / f"lm{order}.json")
         lm.save(path)
         loaded = NGramLM.load(path)
-        assert (loaded.order, loaded.vocab, loaded.counts) == (
-            lm.order, lm.vocab, lm.counts)
+        assert (loaded.order, loaded.vocab, stored_counts(loaded)) == (
+            lm.order, lm.vocab, stored_counts(lm))
         for sentence in sentences:
             assert cross_entropy(loaded, sentence) == cross_entropy(lm, sentence)
 
