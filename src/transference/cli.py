@@ -71,8 +71,7 @@ def _run_training(args, phase: str) -> None:
 
 
 def _cmd_average(args) -> None:
-    checkpoints = [Checkpoint.load(path) for path in args.inputs]
-    averaged = average_checkpoints(checkpoints)
+    averaged = average_checkpoints(Checkpoint.load(path) for path in args.inputs)
     averaged.save(args.output)
 
 

@@ -2,12 +2,18 @@
 
 Data lives in numpy arrays (float32 for training storage, float64 for the
 gradient-check tests; ops preserve the input dtype).  Operations executed
-while a :class:`GradTape` is active are recorded in execution order, and
+while a :class:`GradTape` is active are recorded in execution order as
+graph structure, not tensors: each entry keeps its output's node number,
+one slot per input (the input's node when this tape produced it, the
+leaf tensor itself, or ``None`` when it takes no gradient) and a backward
+rule that captures only the arrays it reads.  An intermediate array that
+no rule reads is freed as soon as the forward pass drops it.
 ``backward`` replays the tape in reverse, which visits operations in
-reverse topological order by construction, and returns each leaf's
-gradient; tensors carry no gradient slot.  Tensors are treated as
-immutable values once created; gradients accumulate additively when a
-tensor feeds several operations.
+reverse topological order by construction, releases each rule once it
+has run, and returns each leaf's gradient; a tape runs backward once,
+and tensors carry no gradient slot.  Tensors are treated as immutable
+values once created; gradients accumulate additively when a tensor feeds
+several operations.
 
 It holds only the ops the model and the training loop run; the tests
 keep the unfused ops they compare the fused ones with.
@@ -15,6 +21,7 @@ keep the unfused ops they compare the fused ones with.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -31,9 +38,11 @@ MASK_VALUE = -1e9
 
 
 class Tensor:
-    """A dense row-major float array plus autodiff bookkeeping."""
+    """A dense row-major float array plus autodiff bookkeeping: ``node``
+    is the number a tape gave the tensor when an op recorded it as its
+    output, and ``None`` otherwise."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -43,6 +52,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.node: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -66,26 +76,37 @@ class Tensor:
 
 
 class TapeEntry:
-    """One executed operation: output, inputs, and its backward rule."""
+    """One executed operation: its output's node, one slot per input (the
+    node of an output recorded earlier on the same tape, a leaf tensor, or
+    ``None`` for an input that takes no gradient), and its backward rule
+    (``None`` once ``backward`` has run it)."""
 
-    __slots__ = ("output", "inputs", "backward_rule")
+    __slots__ = ("node", "inputs", "backward_rule")
 
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...],
+    def __init__(self, node: int, inputs: tuple,
                  backward_rule: Callable[[np.ndarray], tuple]):
-        self.output = output
+        self.node = node
         self.inputs = inputs
         self.backward_rule = backward_rule
+
+
+# Node numbers are global, so a tensor recorded on one tape can never be
+# mistaken for a node of another; object ids could be, once freed
+# intermediates let CPython reuse them.
+_NODES = itertools.count()
 
 
 class GradTape:
     """Ordered record of executed operations (define-by-run).
 
     A tape is single-owner: use one per forward pass and do not share it
-    across concurrent tasks.
+    across concurrent tasks.  ``backward`` consumes it.
     """
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
+        self.consumed = False
+        self._nodes: set[int] = set()
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -94,9 +115,14 @@ class GradTape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPE_STACK.pop()
 
-    def record(self, output: Tensor, inputs: tuple[Tensor, ...],
+    def record(self, output: Tensor, inputs: Sequence[Tensor],
                backward_rule: Callable[[np.ndarray], tuple]) -> None:
-        self.entries.append(TapeEntry(output, inputs, backward_rule))
+        slots = tuple(None if not t.requires_grad
+                      else t.node if t.node in self._nodes else t
+                      for t in inputs)
+        output.node = next(_NODES)
+        self._nodes.add(output.node)
+        self.entries.append(TapeEntry(output.node, slots, backward_rule))
 
 
 _TAPE_STACK: list[GradTape] = []
@@ -112,7 +138,7 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor],
                  dtype=data.dtype)
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape.record(out, tuple(inputs), backward_rule)
+        tape.record(out, inputs, backward_rule)
     return out
 
 
@@ -121,42 +147,45 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns a mapping keyed by leaf tensor; leaves present on the tape but
     not on any path to the loss get a zero gradient.  The mapping is the
-    only place the gradients are kept.
+    only place the gradients are kept.  Each entry's rule is dropped once
+    it has run, so the arrays it captured are freed as the replay goes;
+    the tape keeps its entries but cannot run backward again.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape.consumed:
+        raise ContractError("backward over a consumed tape: a tape runs backward once")
+    tape.consumed = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    produced = {id(entry.output) for entry in tape.entries}
-
-    leaves: dict[int, Tensor] = {}
+    # gradients of recorded outputs by node, of leaves by tensor (in the
+    # order the leaves first appear on the tape)
+    grads: dict[int, np.ndarray] = {}
+    leaf_grads: dict[Tensor, np.ndarray | None] = {}
     for entry in tape.entries:
-        for t in entry.inputs:
-            if t.requires_grad and id(t) not in produced:
-                leaves[id(t)] = t
-    if loss.requires_grad and id(loss) not in produced:
-        leaves[id(loss)] = loss
+        for slot in entry.inputs:
+            if isinstance(slot, Tensor):
+                leaf_grads.setdefault(slot)
+    ones = np.ones_like(loss.data)
+    if loss.node in tape._nodes:
+        grads[loss.node] = ones
+    elif loss.requires_grad:
+        leaf_grads[loss] = ones
 
     for entry in reversed(tape.entries):
-        out_grad = grads.pop(id(entry.output), None)
+        rule, entry.backward_rule = entry.backward_rule, None
+        out_grad = grads.pop(entry.node, None)
         if out_grad is None:
             continue
-        input_grads = entry.backward_rule(out_grad)
-        for t, g in zip(entry.inputs, input_grads):
-            if g is None or not t.requires_grad:
+        for slot, g in zip(entry.inputs, rule(out_grad)):
+            if g is None or slot is None:
                 continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
+            store = leaf_grads if isinstance(slot, Tensor) else grads
+            prev = store.get(slot)
+            store[slot] = g if prev is None else prev + g
 
-    result: dict[Tensor, np.ndarray] = {}
-    for key, leaf in leaves.items():
-        g = grads.get(key)
-        result[leaf] = (np.zeros_like(leaf.data) if g is None
-                        else np.asarray(g, dtype=leaf.data.dtype))
-    return result
+    return {leaf: (np.zeros_like(leaf.data) if g is None
+                   else np.asarray(g, dtype=leaf.data.dtype))
+            for leaf, g in leaf_grads.items()}
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -174,24 +203,29 @@ def constant(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=False, dtype=dtype)
 
 
-# The binary ops' backward rules return None for an input that takes no
-# gradient (masks, positional tables) instead of computing and dropping it.
+# Backward rules capture shapes, flags and the arrays they read, never
+# the input or output tensors, so the tape pins no array that no rule
+# reads.  They return None for an input that takes no gradient (masks,
+# positional tables) instead of computing and dropping it.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def rule(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a_shape) if a_grad else None,
+                _unbroadcast(g, b_shape) if b_grad else None)
 
     return _make_output(out, (a, b), rule)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
-    out = a.data * a.data.dtype.type(factor)
+    factor = a.data.dtype.type(factor)
+    out = a.data * factor
 
     def rule(g):
-        return (g * a.data.dtype.type(factor),)
+        return (g * factor,)
 
     return _make_output(out, (a,), rule)
 
@@ -213,14 +247,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out += b.data
     inputs = (x, w) if b is None else (x, w, b)
+    x_grad, w_grad = x.requires_grad, w.requires_grad
+    b_grad = b is not None and b.requires_grad
 
     def rule(g):
         g2 = g.reshape(rows, k)
-        grads = [(g2 @ w_data.T).reshape(lead + (d,)) if x.requires_grad else None,
-                 x2.T @ g2 if w.requires_grad else None]
-        if b is not None:
-            grads.append(g2.sum(axis=0) if b.requires_grad else None)
-        return grads
+        return ((g2 @ w_data.T).reshape(lead + (d,)) if x_grad else None,
+                x2.T @ g2 if w_grad else None,
+                g2.sum(axis=0) if b_grad else None)
 
     return _make_output(out.reshape(lead + (k,)), inputs, rule)
 
@@ -233,6 +267,30 @@ def _to_heads(x: np.ndarray, heads: int) -> np.ndarray:
 def _from_heads(x: np.ndarray) -> np.ndarray:
     """[..., heads, len, d_h] -> [..., len, heads * d_h], undoing ``_to_heads``."""
     return np.swapaxes(x, -2, -3).reshape(x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
+
+
+# Longest last axis on which ``_row_max`` loops over columns.  Measured
+# with numpy 2.4 on float32 scores (one BLAS thread, 2-vCPU Xeon): the
+# loop beat the native reduction at every length up to 48, for both
+# [B, H, L, L] training scores and [240, 4, 1, L] decode steps, and lost
+# at 64 and above.
+_ROW_MAX_LOOP = 48
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` for NaN-free ``x``.  numpy's
+    reduction over a short last axis pays a per-row cost, so short rows
+    take the maximum one column at a time with ``np.maximum``.  A maximum
+    is exact; the two can differ only in the sign of a zero maximum,
+    which numpy's vectorized reduction picks by lane order, and
+    ``exp(x - m)`` reads +0 and -0 alike."""
+    n = x.shape[-1]
+    if n == 0 or n > _ROW_MAX_LOOP:
+        return x.max(axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
@@ -268,25 +326,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
             probs = probs + mask
     if np.isnan(probs).any():
         raise NumericError("attention scores contain NaN")
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     out = np.matmul(probs, v_data)
+    q_grad, k_grad, v_grad = q.requires_grad, k.requires_grad, v.requires_grad
 
     def rule(g):
         if heads is not None:
             g = _to_heads(g, heads)
         gv = None
-        if v.requires_grad:
+        if v_grad:
             gv = _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), g), v_data.shape)
         gs = np.matmul(g, np.swapaxes(v_data, -1, -2))
         gs -= (gs * probs).sum(axis=-1, keepdims=True)
         gs *= probs
         gs *= kind(scale)
         gq = gk = None
-        if q.requires_grad:
+        if q_grad:
             gq = _unbroadcast(np.matmul(gs, k_data), q_data.shape)
-        if k.requires_grad:
+        if k_grad:
             gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q_data), k_data.shape)
         if heads is None:
             return gq, gk, gv
@@ -327,6 +386,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     out = x_hat * gain.data
     out += bias.data
     gain_data = gain.data
+    shape = a.data.shape
 
     def rule(g):
         g2 = g.reshape(-1, dim)
@@ -337,9 +397,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
         d_hat -= ((d_hat @ ones) * inv_dim)[:, None]
         d_hat -= x_hat * proj[:, None]
         d_hat *= inv
-        return d_hat.reshape(a.data.shape), g_gain, g_bias
+        return d_hat.reshape(shape), g_gain, g_bias
 
-    return _make_output(out.reshape(a.data.shape), (a, gain, bias), rule)
+    return _make_output(out.reshape(shape), (a, gain, bias), rule)
 
 
 def dropout(a: Tensor, p: float, training: bool, rng) -> Tensor:
@@ -357,12 +417,13 @@ def dropout(a: Tensor, p: float, training: bool, rng) -> Tensor:
     if gen is None:
         raise ContractError("training-mode dropout needs an RNG")
     keep = (gen.random(a.data.shape) >= p)
-    factor = a.data.dtype.type(1.0 / (1.0 - p))
-    mask = keep.astype(a.data.dtype) * factor
-    out = a.data * mask
+    dtype = a.data.dtype
+    factor = dtype.type(1.0 / (1.0 - p))
+    out = a.data * (keep.astype(dtype) * factor)
 
+    # the rule keeps the boolean mask and rebuilds the same float mask
     def rule(g):
-        return (g * mask,)
+        return (g * (keep.astype(dtype) * factor),)
 
     return _make_output(out, (a,), rule)
 
@@ -374,11 +435,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ContractError(
             f"embedding ids outside [0, {table.data.shape[0]})")
     out = table.data[ids]
+    shape, dtype = table.data.shape, table.data.dtype
 
     def rule(g):
-        g_table = np.zeros_like(table.data)
-        np.add.at(g_table, ids.reshape(-1),
-                  g.reshape(-1, table.data.shape[-1]))
+        g_table = np.zeros(shape, dtype=dtype)
+        np.add.at(g_table, ids.reshape(-1), g.reshape(-1, shape[-1]))
         return (g_table,)
 
     return _make_output(out, (table,), rule)

@@ -5,10 +5,13 @@ checkpoint averaging, and the generic -> fine-tune regime."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import math
 import os
+import platform
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -218,32 +221,36 @@ def make_batches(pairs: list[PreparedPair], batch_tokens: int = 25000,
     return [_build_batch(batches[i]) for i in batch_order]
 
 
-def average_checkpoints(checkpoints: list[Checkpoint]) -> Checkpoint:
-    """Elementwise arithmetic mean per named tensor (float64 accumulation,
-    stored back as float32); config and step come from the newest input."""
-    if not checkpoints:
-        raise CheckpointError("no checkpoints to average")
-    reference = checkpoints[0]
-    names = list(reference.params.keys())
-    for ckpt in checkpoints[1:]:
-        if set(ckpt.params.keys()) != set(names):
-            extra = set(ckpt.params.keys()) ^ set(names)
+def average_checkpoints(checkpoints: Iterable[Checkpoint]) -> Checkpoint:
+    """Elementwise arithmetic mean per named tensor (float64 accumulation
+    in input order, stored back as float32); config and step come from the
+    newest input, the first with the largest step.  The inputs are read
+    one at a time, so a generator of loads keeps one checkpoint in memory
+    beside the accumulators."""
+    acc: dict[str, np.ndarray] = {}
+    count = 0
+    for ckpt in checkpoints:
+        if not count:
+            acc = {name: np.zeros(t.shape, dtype=np.float64)
+                   for name, t in ckpt.params.items()}
+        elif set(ckpt.params.keys()) != set(acc):
+            extra = set(ckpt.params.keys()) ^ set(acc)
             raise CheckpointError(
                 f"checkpoint parameter names differ: {sorted(extra)[0]}")
-        for name in names:
-            if ckpt.params[name].shape != reference.params[name].shape:
-                raise CheckpointError(
-                    f"shape mismatch for tensor '{name}': "
-                    f"{ckpt.params[name].shape} vs {reference.params[name].shape}")
-    averaged: dict[str, Tensor] = {}
-    for name in names:
-        acc = np.zeros(reference.params[name].shape, dtype=np.float64)
-        for ckpt in checkpoints:
-            acc += ckpt.params[name].data
-        averaged[name] = Tensor((acc / len(checkpoints)).astype(np.float32),
-                                requires_grad=True)
-    newest = max(checkpoints, key=lambda c: c.step)
-    return Checkpoint(averaged, replace(newest.config), newest.step)
+        for name, total in acc.items():
+            if ckpt.params[name].shape != total.shape:
+                raise CheckpointError(f"shape mismatch for tensor '{name}': "
+                                      f"{ckpt.params[name].shape} vs {total.shape}")
+            total += ckpt.params[name].data
+        if not count or ckpt.step > step:
+            config, step = ckpt.config, ckpt.step
+        count += 1
+        del ckpt  # freed before the next one is read
+    if not count:
+        raise CheckpointError("no checkpoints to average")
+    averaged = {name: Tensor((total / count).astype(np.float32), requires_grad=True)
+                for name, total in acc.items()}
+    return Checkpoint(averaged, replace(config), step)
 
 
 def forward_loss(config: ModelConfig, params: dict[str, Tensor],
@@ -319,6 +326,23 @@ class TrainResult:
     aborted: bool = False
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed memory on the C heap between training steps (glibc only).
+
+    The tape frees each array once no backward rule reads it, so at the
+    end of a step the top of the heap is free, and glibc's default
+    thresholds hand those pages back to the kernel; the next step then
+    faults every page in again.  Fixed thresholds keep arrays below
+    32 MiB on the heap and trim only above 64 MiB of free top, so steps
+    reuse the same pages.  No float changes; other C libraries are left
+    as they are."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
 def train(generic_pairs: list[PreparedPair],
           finetune_pairs: list[PreparedPair],
           val_pairs: list[PreparedPair],
@@ -340,6 +364,7 @@ def train(generic_pairs: list[PreparedPair],
         os.makedirs(ckpt_dir, exist_ok=True)
     except OSError as exc:
         raise CheckpointError(f"{ckpt_dir}: cannot create: {exc.strerror}") from None
+    _keep_freed_heap()
     config = checkpoint.config
     params = checkpoint.params
     state = OptimizerState.for_params(params, step=checkpoint.step)
@@ -389,7 +414,7 @@ def train(generic_pairs: list[PreparedPair],
 
     keep_cfg = finetune_config if finetune_config.epochs > 0 else generic_config
     keep = sorted(epoch_records, key=lambda r: (r[1], r[0]))[:keep_cfg.checkpoint_keep]
-    averaged = average_checkpoints([Checkpoint.load(path) for path, _ in keep])
+    averaged = average_checkpoints(Checkpoint.load(path) for path, _ in keep)
     averaged.save(os.path.join(ckpt_dir, "averaged.tfrx"))
     if log_path:
         write_loss_log(log_path, log)

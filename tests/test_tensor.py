@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -303,14 +304,36 @@ class TestTapeStructure:
             a = T.scale(x, 2.0)
             b = T.add(a, x)
             c = R.reduce_sum(b)
-        assert [id(e.output) for e in tape.entries] == [id(a), id(b), id(c)]
+        assert [e.node for e in tape.entries] == [a.node, b.node, c.node]
         # reverse replay is reverse topological: every op's inputs were
-        # produced earlier on the tape
+        # produced earlier on the tape, or are the leaf itself
         produced = set()
         for entry in tape.entries:
-            for inp in entry.inputs:
-                assert id(inp) == id(x) or id(inp) in produced
-            produced.add(id(entry.output))
+            for slot in entry.inputs:
+                assert slot is x or (isinstance(slot, int) and slot in produced)
+            produced.add(entry.node)
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            y = R.reduce_sum(T.scale(x, 2.0))
+        backward(tape, y)
+        assert len(tape.entries) == 2
+        assert all(entry.backward_rule is None for entry in tape.entries)
+        with pytest.raises(ContractError, match="consumed"):
+            backward(tape, y)
+
+    def test_output_of_another_tape_is_a_leaf(self):
+        x = Tensor(np.arange(3.0), requires_grad=True, dtype=np.float64)
+        with GradTape() as first:
+            y = T.scale(x, 2.0)
+            with GradTape() as second:
+                z = R.reduce_sum(T.scale(y, 3.0))
+        assert first.entries[0].inputs == (x,)
+        assert second.entries[0].inputs[0] is y
+        grads = backward(second, z)
+        assert list(grads) == [y]
+        np.testing.assert_array_equal(grads[y], [3.0, 3.0, 3.0])
 
     def test_nothing_recorded_without_grad_or_tape(self):
         x = Tensor(np.ones(3), requires_grad=False)
@@ -320,6 +343,74 @@ class TestTapeStructure:
         y = Tensor(np.ones(3), requires_grad=True)
         out = T.scale(y, 2.0)  # no active tape
         assert out.requires_grad
+
+
+def _residual_graph(leaves, held=None):
+    """linear -> dropout -> add -> layer_norm -> linear -> smoothed
+    cross-entropy on one tape, as in a transformer sublayer and the output
+    layer.  Returns the tape, the loss and weakrefs to the arrays of the
+    dropout output, the residual sum and the logits; with ``held``, every
+    intermediate tensor is appended to it."""
+    x, w1, b1, gain, bias, w2, b2 = leaves
+    targets = np.array([[1, 4, 2], [3, 0, 0]])
+    with GradTape() as tape:
+        hidden = T.linear(x, w1, b1)
+        dropped = T.dropout(hidden, 0.25, True, np.random.default_rng(7))
+        summed = T.add(x, dropped)
+        normed = T.layer_norm(summed, gain, bias)
+        logits = T.linear(normed, w2, b2)
+        loss = T.smoothed_cross_entropy(logits, targets, targets != 0, 0.1)
+    if held is not None:
+        held.extend((hidden, dropped, summed, normed, logits))
+    return tape, loss, [weakref.ref(t.data) for t in (dropped, summed, logits)]
+
+
+class TestTapeMemory:
+    def test_unread_intermediates_are_freed_with_equal_gradients(self):
+        rng = np.random.default_rng(41)
+        shapes = [(2, 3, 8), (8, 8), (8,), (8,), (8,), (8, 5), (5,)]
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in shapes]
+        tape, loss, refs = _residual_graph(leaves)
+        assert [ref() for ref in refs] == [None, None, None]
+        grads = backward(tape, loss)
+
+        held = []
+        tape, loss, refs = _residual_graph(leaves, held)
+        assert all(ref() is not None for ref in refs)
+        grads_held = backward(tape, loss)
+        assert list(grads) == list(grads_held) == leaves
+        for leaf in leaves:
+            assert grads[leaf].tobytes() == grads_held[leaf].tobytes()
+
+
+class TestRowMax:
+    """``T._row_max``, the softmax max in ``T.attention``, on both sides
+    of the length where it switches from a column loop to ``max``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_native_max(self, dtype):
+        rng = np.random.default_rng(42)
+        special = np.array([0.0, -0.0, T.MASK_VALUE, -np.inf], dtype=dtype)
+        cross = T._ROW_MAX_LOOP
+        for n in (1, 2, 7, 15, cross - 1, cross, cross + 1, cross + 2):
+            for lead in [(4,), (4, 3, 5)]:
+                x = rng.normal(size=lead + (n,)).astype(dtype)
+                pick = rng.integers(0, 8, size=x.shape)
+                x[pick < 4] = special[pick[pick < 4]]
+                x[0] = special[rng.integers(0, 2, size=n)]   # zeros only
+                x[1] = special[rng.integers(1, 4, size=n)]   # no +0.0
+                x[2] = -np.inf
+                got, want = T._row_max(x), x.max(axis=-1, keepdims=True)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+                # bit for bit, except where numpy's own reduction picks the
+                # sign of a zero maximum by its vector lane order; the
+                # softmax reads either sign alike
+                nonzero = want != 0
+                assert got[nonzero].tobytes() == want[nonzero].tobytes()
+                with np.errstate(invalid="ignore"):
+                    assert np.exp(x - got).tobytes() == np.exp(x - want).tobytes()
 
 
 def _tensor_calls_in_src() -> set[str]:
@@ -585,13 +676,16 @@ class TestFusedOps:
         c = T.constant(np.ones((2, 3)))
         w = T.constant(np.ones((3, 2)))
         x3 = Tensor(np.ones((1, 2, 3)), requires_grad=True)
-        ops = {"add": lambda: T.add(x, c), "sub": lambda: R.sub(c, x),
-               "mul": lambda: R.mul(x, c), "matmul": lambda: R.matmul(x, w),
-               "rows_matmul": lambda: T.linear(x3, w)}
-        for name, op in ops.items():
+        ops = {"add": (T.add, (x, c)), "sub": (R.sub, (c, x)),
+               "mul": (R.mul, (x, c)), "matmul": (R.matmul, (x, w)),
+               "rows_matmul": (T.linear, (x3, w))}
+        for name, (op, inputs) in ops.items():
             with GradTape() as tape:
-                out = op()
+                out = op(*inputs)
             (entry,) = tape.entries
+            # a slot is None exactly for an input that takes no gradient
+            assert [slot is None for slot in entry.inputs] == \
+                [not t.requires_grad for t in inputs], name
             grads = entry.backward_rule(np.ones_like(out.data))
-            for inp, grad in zip(entry.inputs, grads):
-                assert (grad is None) == (not inp.requires_grad), name
+            for slot, grad in zip(entry.inputs, grads):
+                assert (grad is None) == (slot is None), name

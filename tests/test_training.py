@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,6 +298,16 @@ class TestAverageCheckpoints:
         b.params["output/bias"] = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(CheckpointError, match="output/bias"):
             average_checkpoints([a, b])
+
+    def test_generator_equals_list_and_newest_is_first_largest_step(self):
+        ckpts = [self._random_checkpoint(s) for s in (14, 15, 16)]
+        ckpts[0].step, ckpts[1].step, ckpts[2].step = 7, 3, 7
+        ckpts[2].config = replace(ckpts[2].config, dropout=0.3)
+        lazy = average_checkpoints(c for c in ckpts)
+        eager = average_checkpoints(ckpts)
+        assert lazy.step == 7 and lazy.config == ckpts[0].config
+        for name in eager.params:
+            assert lazy.params[name].data.tobytes() == eager.params[name].data.tobytes()
 
     def test_order_invariance(self):
         ckpts = [self._random_checkpoint(s) for s in (11, 12, 13)]
