@@ -17,11 +17,12 @@ from .errors import ConfigError, TransferenceError
 from .metrics import bleu, ter
 from .model import Checkpoint, Vocab
 from .ngram import MAX_ORDER
-from .pipeline import (PipelineConfig, clean_pairs, evaluate_files,
-                       learn_merges, lm_train, load_pipeline_config, map_lines,
-                       read_pairs, read_tokens, run_pipeline, score_corpus,
-                       segment_files, select_split, source_batch, train_model,
-                       train_truecaser, truecase_files)
+from .pipeline import (PipelineConfig, check_clean_limits, clean_pairs,
+                       evaluate_files, learn_merges, lm_train,
+                       load_pipeline_config, map_lines, read_pairs, read_tokens,
+                       run_pipeline, score_corpus, segment_files, select_split,
+                       source_batch, train_model, train_truecaser,
+                       truecase_files)
 from .search import translate_batch_nbest
 from .training import average_checkpoints
 
@@ -29,6 +30,14 @@ from .training import average_checkpoints
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse's exit(2) onto exit code 1
         raise ConfigError(message)
+
+
+def _cmd_clean(args) -> None:
+    check_clean_limits(args.min_tokens, args.max_tokens, args.max_ratio,
+                       lambda key: "--" + key.replace("_", "-"))
+    print(clean_pairs(read_pairs(args.source, args.target),
+                      (args.out_source, args.out_target),
+                      args.min_tokens, args.max_tokens, args.max_ratio))
 
 
 def _cmd_lm_train(args) -> None:
@@ -177,10 +186,7 @@ def build_parser() -> _Parser:
     p.add_argument("--escape", action="store_true",
                    help="replace special characters by entity escapes")
 
-    p = sub_parser("clean",
-                   lambda a: print(clean_pairs(
-                       read_pairs(a.source, a.target), (a.out_source, a.out_target),
-                       a.min_tokens, a.max_tokens, a.max_ratio)),
+    p = sub_parser("clean", _cmd_clean,
                    help="drop bad pairs from a tokenized parallel corpus")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -47,12 +46,14 @@ MAX_EVENTS = 2 ** 53
 class NGramLM:
     """Interpolated Witten-Bell n-gram model over a closed vocabulary.
 
-    Rare tokens (count below ``min_count``) are mapped to UNK, so every
-    sentence gets a finite cross-entropy.  For each context the smoothed
-    conditional distribution sums to 1 over the prediction vocabulary
-    (observed types plus UNK and EOS).  ``levels[k]`` is the (n, k + 1)
-    array of level-k n-grams, context ids then token id, sorted and
-    distinct, and their counts.
+    ``train_lm`` makes the vocabulary every token of its corpus plus UNK
+    and EOS, so UNK stands only for a token the model never saw and for
+    a literal BOS.  For each context the smoothed conditional
+    distribution sums to 1 over the vocabulary; its uniform floor gives
+    every token, UNK included, a nonzero probability, so every sentence
+    gets a finite cross-entropy.  ``levels[k]`` is the (n, k + 1) array
+    of level-k n-grams, context ids then token id, sorted and distinct,
+    and their counts.
     """
 
     def __init__(self, order: int, vocab: list[str],
@@ -254,15 +255,15 @@ def _padded(ids: dict[str, int], order: int, sentence) -> list[int]:
 
 
 def train_lm(corpus: list[list[str]] | list[tuple[str, ...]],
-             order: int = 3, min_count: int = 2) -> NGramLM:
-    """Train an order-n Witten-Bell model; singleton tokens become UNK."""
+             order: int = 3) -> NGramLM:
+    """Train an order-n Witten-Bell model on every token of ``corpus``;
+    a literal BOS is counted as UNK."""
     if not 1 <= order <= MAX_ORDER:
         raise ConfigError(f"n-gram order must be from 1 to {MAX_ORDER}, "
                           f"got {order}")
-    raw = Counter(chain.from_iterable(corpus))
-    if not raw:
+    vocab = set(chain.from_iterable(corpus))
+    if not vocab:
         raise DataError("cannot train a language model on an empty corpus")
-    vocab = {tok for tok, count in raw.items() if count >= min_count}
     vocab.discard(BOS)
     vocab = sorted(vocab | {UNK, EOS})
     ids = {tok: i for i, tok in enumerate(vocab)}

@@ -77,6 +77,7 @@ class PipelineConfig:
                 raise ConfigError(f"config missing required [data] entry: '{name}'")
             if not os.path.exists(path):
                 raise ConfigError(f"{name} file not found: {path}")
+        check_clean_limits(self.min_tokens, self.max_tokens, self.max_ratio)
         if self.n_validation < 1:
             raise ConfigError("[select] n_validation must be >= 1")
         if self.n_select < 0:
@@ -96,6 +97,20 @@ class PipelineConfig:
         if not math.isfinite(self.length_alpha):
             raise ConfigError(f"[decode] length_alpha must be finite, "
                               f"got {self.length_alpha}")
+
+
+def check_clean_limits(min_tokens: int, max_tokens: int, max_ratio: float,
+                       name=lambda key: f"[clean] {key}") -> None:
+    """Raise ConfigError for cleaning limits that no pair can meet;
+    ``name`` spells a key the way its caller's user sets it."""
+    if max_tokens < 1:
+        raise ConfigError(f"{name('max_tokens')} must be >= 1, got {max_tokens}")
+    if min_tokens > max_tokens:
+        raise ConfigError(f"{name('min_tokens')} must be <= "
+                          f"{name('max_tokens')}, got {min_tokens} > {max_tokens}")
+    # a pair's length ratio, longer side over shorter, is at least 1
+    if not max_ratio >= 1:
+        raise ConfigError(f"{name('max_ratio')} must be >= 1, got {max_ratio}")
 
 
 def _grad_clip(text: str) -> float | None:

@@ -52,6 +52,24 @@ class TestTextCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["dropped"] == {"too_long": 1}
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--min-tokens", "12", "--max-tokens", "3"),
+         "--min-tokens must be <= --max-tokens, got 12 > 3"),
+        (("--min-tokens", "0", "--max-tokens", "0"),
+         "--max-tokens must be >= 1, got 0"),
+        (("--max-ratio", "0.5"), "--max-ratio must be >= 1, got 0.5")])
+    def test_clean_limits_no_pair_meets_fail(self, tmp_path, capsys, flags,
+                                             message):
+        src, trg = tmp_path / "c.src", tmp_path / "c.trg"
+        write_lines(str(src), ["a b"])
+        write_lines(str(trg), ["p q"])
+        out_src = tmp_path / "o.src"
+        assert run_cli("clean", "--source", str(src), "--target", str(trg),
+                       "--out-source", str(out_src),
+                       "--out-target", str(tmp_path / "o.trg"), *flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out_src.exists()
+
     def test_truecase_roundtrip(self, tmp_path):
         corpus = tmp_path / "t.txt"
         write_lines(str(corpus), ["x Praha dnes", "y Praha a Praha"])

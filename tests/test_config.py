@@ -94,6 +94,22 @@ def test_negative_n_select_fails_before_the_first_stage(toy_files, tmp_path, cap
     assert not work.exists()
 
 
+@pytest.mark.parametrize("clean, message", [
+    ({"min_tokens": 12, "max_tokens": 3},
+     "[clean] min_tokens must be <= [clean] max_tokens, got 12 > 3"),
+    ({"min_tokens": 0, "max_tokens": 0}, "[clean] max_tokens must be >= 1, got 0"),
+    ({"max_ratio": 0.5}, "[clean] max_ratio must be >= 1, got 0.5"),
+    ({"max_ratio": "nan"}, "[clean] max_ratio must be >= 1, got nan")])
+def test_clean_limits_no_pair_meets_fail_before_the_first_stage(
+        toy_files, tmp_path, capsys, clean, message):
+    work = tmp_path / "work"
+    ini = write_pipeline_ini(tmp_path / "c.ini", toy_files, str(work),
+                             {"clean": clean})
+    assert main(["pipeline", "--config", ini]) == 1
+    assert message in capsys.readouterr().err
+    assert not work.exists()
+
+
 def test_order_above_bound_fails_before_the_first_stage(toy_files, tmp_path,
                                                         capsys):
     work = tmp_path / "work"
