@@ -10,14 +10,14 @@ vocabulary, and the start marker's id is the vocabulary size.  Each
 level k holds its distinct (k context ids, token id) n-grams as one
 sorted integer array with their counts, the layout KenLM uses (Heafield
 2011).  ``train_lm`` counts them by sorting the id windows of its
-corpus; scoring looks each event up in a table of the log-probabilities
-of the top-order n-grams, built once per model, and runs the Witten-Bell
-loop only for n-grams the model never counted.
+corpus.  ``NGramLM._probs`` is the one Witten-Bell computation, run
+elementwise over n-gram arrays; ``cross_entropies`` scores many sentences
+with one lookup of their distinct events.
 
 This module also owns the files of the selection step: ``NGramLM.save``
 and ``NGramLM.load`` write and check a model file, and
 ``write_scores_tsv`` and ``read_scores_tsv`` the per-pair scores.
-``_padded`` is the one walk over a sentence's events, shared by
+``_events`` is the one walk over sentences' events, shared by
 ``train_lm`` and scoring.
 """
 
@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, repeat
+from functools import cached_property, reduce
+from itertools import chain, islice, repeat
+from operator import sub
 
 import numpy as np
 
@@ -41,6 +42,8 @@ MAX_ORDER = 10
 # the counts of one level sum to less than this, so that int64 sums and
 # float64 arithmetic on them stay exact
 MAX_EVENTS = 2 ** 53
+# model -> sentence -> cross-entropy, filled only while score_pairs runs
+_memo: dict[NGramLM, dict[tuple[str, ...], float]] = {}
 
 
 class NGramLM:
@@ -74,64 +77,38 @@ class NGramLM:
         marker."""
         if len(context) > self.order - 1:
             context = context[len(context) - (self.order - 1):]
-        return self._prob(self.ids.get(token, self.unk),
-                          tuple(self.bos if t == BOS else self.ids.get(t, self.unk)
-                                for t in context))
+        ngram = [self.bos if t == BOS else self.ids.get(t, self.unk)
+                 for t in context] + [self.ids.get(token, self.unk)]
+        return float(self._probs(np.array([ngram], np.int64))[0])
 
-    def _prob(self, token: int, context: tuple[int, ...]) -> float:
-        """Witten-Bell interpolation from the uniform distribution up
-        through each suffix of ``context``, shortest first; a context
-        never seen keeps the lower-order value."""
-        p = 1.0 / len(self.vocab)
-        n = len(context)
-        for k in range(n + 1):
-            suffix = context[n - k:]
-            contexts, counts = self._lookup[k]
-            entry = contexts.get(suffix)
-            if entry is not None:
-                denominator, types = entry
-                p = (counts.get(suffix + (token,), 0) + types * p) / denominator
+    def _probs(self, ngrams: np.ndarray) -> np.ndarray:
+        """p of each row of the (n, k + 1) id array ``ngrams`` (k < order
+        context ids, then the token): Witten-Bell interpolation from the
+        uniform distribution up through each context suffix, shortest
+        first; a context never seen keeps the lower-order value."""
+        k = ngrams.shape[1] - 1
+        p = np.full(len(ngrams), 1.0 / len(self.vocab))
+        for j, (contexts, denominators, types, keys, counts) in enumerate(
+                self._tables[:k + 1]):
+            if not len(counts):
+                continue
+            row = _find(contexts, ngrams[:, k - j:k])
+            hit = _find(keys, ngrams[:, k - j:])
+            count = np.where(hit >= 0, counts[hit], 0)
+            p = np.where(row >= 0, (count + types[row] * p) / denominators[row], p)
         return p
 
     @cached_property
-    def _contexts(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per level: the distinct contexts, each one's denominator
-        (tokens seen + types) and its number of types."""
-        stats = []
+    def _tables(self) -> list[tuple[np.ndarray, ...]]:
+        """Per level: the context keys, each context's denominator (tokens
+        seen + types) and types, then the n-gram keys and their counts."""
+        tables = []
         for ngrams, counts in self.levels:
             starts, types = _runs(ngrams[:, :-1])
-            stats.append((ngrams[starts, :-1],
-                          np.add.reduceat(counts, starts) + types, types))
-        return stats
-
-    @cached_property
-    def _lookup(self) -> list[tuple[dict, dict]]:
-        """Per level: context -> (denominator, types) and n-gram -> count,
-        the dicts ``_prob`` looks up."""
-        return [(dict(zip(map(tuple, contexts.tolist()),
-                          zip(denominators.tolist(), types.tolist()))),
-                 dict(zip(map(tuple, ngrams.tolist()), counts.tolist())))
-                for (ngrams, counts), (contexts, denominators, types)
-                in zip(self.levels, self._contexts)]
-
-    @cached_property
-    def _log2p(self) -> dict[tuple[int, ...], float]:
-        """log2 p of every top-order n-gram the model counted, by
-        ``_prob``'s loop run elementwise over all of them at once: the
-        same float64 operations in the same order.  ``cross_entropy``
-        adds each n-gram it has to run the loop for."""
-        top = self.levels[-1][0]
-        n = self.order - 1
-        p = np.full(len(top), 1.0 / len(self.vocab))
-        for k, ((ngrams, counts), (contexts, denominators, types)) in enumerate(
-                zip(self.levels, self._contexts)):
-            if not len(counts):
-                continue
-            row = _find(contexts, top[:, n - k:n])
-            hit = _find(ngrams, top[:, n - k:])
-            count = np.where(hit >= 0, counts[hit], 0)
-            p = np.where(row >= 0, (count + types[row] * p) / denominators[row], p)
-        return dict(zip(map(tuple, top.tolist()), map(math.log2, p.tolist())))
+            tables.append((_keys(ngrams[starts, :-1]),
+                           np.add.reduceat(counts, starts) + types, types,
+                           _keys(ngrams), counts))
+        return tables
 
     def save(self, path: str) -> None:
         payload = {
@@ -228,6 +205,17 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(np.append(starts, len(rows)))
 
 
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows``, sorted, how often each occurs, and
+    the index of each row's distinct row."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    starts, counts = _runs(rows)
+    inverse = np.empty(len(rows), np.int64)
+    inverse[order] = np.repeat(np.arange(len(starts)), counts)
+    return rows[starts], counts, inverse
+
+
 def _keys(rows: np.ndarray) -> np.ndarray:
     """One bytes value per row of ids >= 0 that sorts and compares as the
     row does: big-endian ids after a zero column, so an empty row has one."""
@@ -236,22 +224,25 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return keyed.view(np.dtype((np.void, keyed.strides[0]))).ravel()
 
 
-def _find(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The row of ``table`` (sorted, distinct) equal to each row of
-    ``queries``, or -1."""
-    table, queries = _keys(table), _keys(queries)
-    at = np.searchsorted(table, queries)
-    hit = at < len(table)
-    hit[hit] = table[at[hit]] == queries[hit]
-    return np.where(hit, at, -1)
+def _find(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index in ``keys``, the ``_keys`` of sorted and distinct rows (at
+    least one), of each row of ``rows``, or -1."""
+    queries = _keys(rows)
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[at] == queries, at, -1)
 
 
-def _padded(ids: dict[str, int], order: int, sentence) -> list[int]:
-    """A sentence's ids after ``order - 1`` start markers and before EOS,
-    an unknown token as UNK: window i of ``order`` ids is the i-th
-    event, its context then its target."""
+def _events(ids: dict[str, int], order: int, sentences) -> np.ndarray:
+    """One row per event of ``sentences`` in sentence order, its context
+    ids then its target id: each sentence's ids, an unknown token as UNK,
+    after ``order - 1`` start markers and before EOS."""
     unknown = repeat(ids[UNK])
-    return [len(ids)] * (order - 1) + list(map(ids.get, sentence, unknown)) + [ids[EOS]]
+    walk = np.fromiter(chain.from_iterable(
+        chain([len(ids)] * (order - 1), map(ids.get, sentence, unknown), [ids[EOS]])
+        for sentence in sentences), np.int64)
+    # a window ends at each target: every id but the start markers
+    return np.lib.stride_tricks.sliding_window_view(walk, order)[
+        walk[order - 1:] != len(ids)]
 
 
 def train_lm(corpus: list[list[str]] | list[tuple[str, ...]],
@@ -266,36 +257,31 @@ def train_lm(corpus: list[list[str]] | list[tuple[str, ...]],
         raise DataError("cannot train a language model on an empty corpus")
     vocab.discard(BOS)
     vocab = sorted(vocab | {UNK, EOS})
-    ids = {tok: i for i, tok in enumerate(vocab)}
-    walk = np.fromiter(chain.from_iterable(_padded(ids, order, sent)
-                                           for sent in corpus), np.int64)
-    # a window ends at each target: every id but the start markers
-    events = np.lib.stride_tricks.sliding_window_view(walk, order)[
-        walk[order - 1:] != len(vocab)]
-    levels = []
-    for k in range(order):
-        ngrams = events[:, order - 1 - k:]
-        ngrams = ngrams[np.lexsort(ngrams.T[::-1])]
-        starts, counts = _runs(ngrams)
-        levels.append((ngrams[starts], counts))
+    events = _events({tok: i for i, tok in enumerate(vocab)}, order, corpus)
+    levels = [_distinct(events[:, order - 1 - k:])[:2] for k in range(order)]
     return NGramLM(order, vocab, levels)
 
 
-def cross_entropy(lm: NGramLM, sentence: list[str] | tuple[str, ...]) -> float:
-    """Per-token cross-entropy in bits, the token count including EOS."""
-    if not sentence:
+def cross_entropies(lm: NGramLM, sentences) -> list[float]:
+    """``cross_entropy`` of each sentence, with one lookup of the distinct
+    events of them all."""
+    if not all(map(len, sentences)):
         raise ContractError("cross_entropy needs a non-empty sentence")
-    ids = _padded(lm.ids, lm.order, sentence)
-    table = lm._log2p
-    total = 0.0
-    for ngram in zip(*[ids[i:] for i in range(lm.order)]):
-        value = table.get(ngram)
-        if value is None:
-            # an n-gram the model never counted: the loop, kept for its
-            # next occurrence
-            value = table[ngram] = math.log2(lm._prob(ngram[-1], ngram[:-1]))
-        total -= value
-    return total / (len(sentence) + 1)
+    if not sentences:
+        return []
+    distinct, _, inverse = _distinct(_events(lm.ids, lm.order, sentences))
+    logs = np.array(list(map(math.log2, lm._probs(distinct).tolist())))
+    values = iter(logs[inverse].tolist())
+    # total -= value in event order, as a loop over a sentence's events sums
+    return [reduce(sub, islice(values, len(s) + 1), 0.0) / (len(s) + 1)
+            for s in sentences]
+
+
+def cross_entropy(lm: NGramLM, sentence: list[str] | tuple[str, ...]) -> float:
+    """Per-token cross-entropy in bits, the token count including EOS;
+    while ``score_pairs`` runs, the value in its memo."""
+    memo = _memo.get(lm)
+    return cross_entropies(lm, [sentence])[0] if memo is None else memo[sentence]
 
 
 @dataclass(frozen=True)
@@ -319,6 +305,19 @@ def score_pair(pair: SentencePair, lm_i_src: NGramLM, lm_o_src: NGramLM,
     h_trg_out = cross_entropy(lm_o_trg, pair.target)
     score = abs(h_src_in - h_src_out) + abs(h_trg_in - h_trg_out)
     return ScoredPair(pair, h_src_in, h_src_out, h_trg_in, h_trg_out, score)
+
+
+def score_pairs(pairs: list[SentencePair], *lms: NGramLM) -> list[ScoredPair]:
+    """``score_pair(pair, *lms)`` of each pair, after each model scores
+    its side's distinct sentences in one ``cross_entropies`` pass into a
+    memo that ``score_pair`` reads and that lasts only for this call."""
+    try:
+        for lm, name in zip(lms, ("source", "source", "target", "target")):
+            side = list(dict.fromkeys(getattr(pair, name) for pair in pairs))
+            _memo.setdefault(lm, {}).update(zip(side, cross_entropies(lm, side)))
+        return [score_pair(pair, *lms) for pair in pairs]
+    finally:
+        _memo.clear()
 
 
 def rank_and_split(scored: list[ScoredPair], n_val: int = 1000,

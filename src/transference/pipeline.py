@@ -273,7 +273,7 @@ def score_corpus(src_path: str, trg_path: str, lm_paths: tuple[str, ...],
             raise DataError(f"{trg_path if pair.source else src_path} line "
                             f"{pair.original_index + 1}: a sentence with no "
                             "tokens has no cross-entropy")
-    N.write_scores_tsv(scores_path, [N.score_pair(pair, *lms) for pair in pairs])
+    N.write_scores_tsv(scores_path, N.score_pairs(pairs, *lms))
 
 
 def select_split(scores_path: str, src_path: str, trg_path: str,

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .model import (BOS_ID, Checkpoint, DecoderCache, EOS_ID, PAD_ID,
                     SourceBatch, check_source, decode_forward, encode)
+from .tensor import stable_log_softmax
 
 # Sentences decoded together: at most _CHUNK_SENTENCES, and fewer when their
 # self-attention caches would pass _CACHE_BYTES.
@@ -151,12 +152,6 @@ def beam_search(stepper, beam: int = 4, max_len: int = 256,
     return ranked[0]
 
 
-def _stable_log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted
-
-
 class _DecoderState(NamedTuple):
     prefix: tuple[int, ...]       # BOS and the tokens decoded after it
     next_logprobs: np.ndarray
@@ -190,7 +185,7 @@ class IncrementalDecoder:
 
     def _step(self, prefix: tuple[int, ...]) -> _DecoderState:
         logits = decode_forward(self.cfg, self.params, self.encoded, np.array([prefix]))
-        return _DecoderState(prefix, _stable_log_softmax(logits.data[0, -1]))
+        return _DecoderState(prefix, stable_log_softmax(logits.data[0, -1]))
 
 
 def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,
@@ -208,7 +203,7 @@ def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,
     pools: list[list[Hypothesis]] = [[] for _ in range(n)]
     for step in range(max_len):
         logits = decode_forward(cfg, params, encoded, tokens[:, None], cache=cache)
-        logprobs = _stable_log_softmax(logits.data[:, -1])
+        logprobs = stable_log_softmax(logits.data[:, -1])
         # <pad> and <s> are never outputs; the rest are not renormalized.
         logprobs[:, [PAD_ID, BOS_ID]] = -np.inf
         row, token, score, rank = _expand(scores, logprobs, n, beam, EOS_ID)

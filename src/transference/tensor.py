@@ -278,12 +278,12 @@ _ROW_MAX_LOOP = 48
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1, keepdims=True)`` for NaN-free ``x``.  numpy's
-    reduction over a short last axis pays a per-row cost, so short rows
-    take the maximum one column at a time with ``np.maximum``.  A maximum
-    is exact; the two can differ only in the sign of a zero maximum,
-    which numpy's vectorized reduction picks by lane order, and
-    ``exp(x - m)`` reads +0 and -0 alike."""
+    """``x.max(axis=-1, keepdims=True)``.  numpy's reduction over a short
+    last axis pays a per-row cost, so short rows take the maximum one
+    column at a time with ``np.maximum``.  A maximum is exact, and both
+    give NaN for a row that holds one; they can differ only in the sign
+    of a zero maximum, which numpy's vectorized reduction picks by lane
+    order, and ``exp(x - m)`` reads +0 and -0 alike."""
     n = x.shape[-1]
     if n == 0 or n > _ROW_MAX_LOOP:
         return x.max(axis=-1, keepdims=True)
@@ -324,9 +324,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
             probs += mask
         else:
             probs = probs + mask
-    if np.isnan(probs).any():
+    row_max = _row_max(probs)
+    # the maximum of a row is NaN when any of its scores is
+    if np.isnan(row_max).any():
         raise NumericError("attention scores contain NaN")
-    probs -= _row_max(probs)
+    probs -= row_max
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     out = np.matmul(probs, v_data)
@@ -356,10 +358,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
-    keep = a.data > 0
 
+    # out > 0 is a.data > 0, NaN included, and the linear after a relu
+    # keeps ``out`` for its own rule anyway
     def rule(g):
-        return (g * keep,)
+        return (g * (out > 0),)
 
     return _make_output(out, (a,), rule)
 
@@ -456,6 +459,14 @@ def reshape(a: Tensor, shape: Iterable[int]) -> Tensor:
     return _make_output(out, (a,), rule)
 
 
+def stable_log_softmax(x: np.ndarray) -> np.ndarray:
+    """log softmax over the last axis of an array, shifted by the row
+    maximum so that exp cannot overflow."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
 def smoothed_cross_entropy(logits: Tensor, targets: np.ndarray,
                            counted: np.ndarray, eps: float) -> Tensor:
     """Mean label-smoothed cross-entropy over the ``counted`` positions,
@@ -477,8 +488,7 @@ def smoothed_cross_entropy(logits: Tensor, targets: np.ndarray,
     kind = logits.data.dtype.type
     smooth = eps / (vocab - 1)
     gold_weight = 1.0 - eps - smooth
-    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    logp = stable_log_softmax(logits.data)
     gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     per_pos = gold * kind(-gold_weight) + logp.sum(axis=-1) * kind(-smooth)
     out = np.asarray(per_pos[counted].sum() * kind(1.0 / n))

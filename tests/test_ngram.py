@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from transference import ngram
 from transference.corpus import SentencePair
 from transference.errors import ConfigError, ContractError, DataError
 from transference.ngram import (BOS, EOS, MAX_ORDER, UNK, NGramLM,
-                                cross_entropy, rank_and_split, read_scores_tsv,
-                                score_pair, train_lm, write_scores_tsv,
-                                ScoredPair)
+                                cross_entropies, cross_entropy, rank_and_split,
+                                read_scores_tsv, score_pair, score_pairs,
+                                train_lm, write_scores_tsv, ScoredPair)
 
 
 def stored_counts(lm):
@@ -261,6 +262,77 @@ class TestScorePair:
         shifted = abs((s.h_src_in + 2.5) - (s.h_src_out + 2.5)) + abs(
             s.h_trg_in - s.h_trg_out)
         assert shifted == pytest.approx(s.score, abs=1e-12)
+
+
+# in-domain and general corpora for both sides; the scored pairs below hold
+# tokens neither model saw, a literal <s>, one-token sentences, a sentence
+# repeated within a side and one shared by both sides
+SIDES = {
+    "in": ([["a", "b"], ["a", "a", "c"], ["b", "c", "a"]],
+           [["x", "y"], ["x", "x", "z"], ["y", "a"]]),
+    "out": ([["b", "b"], ["c", "a", "b"], ["d", "a"], ["a"]],
+            [["y", "y"], ["z", "x", "y"], ["w"], ["x", "w", "z"]]),
+}
+SCORED = [make_pair(0, "a b c", "x y"), make_pair(1, "zz a", "x q q"),
+          make_pair(2, "a <s> b", "<s>"), make_pair(3, "a", "w"),
+          make_pair(4, "a b c", "y a"), make_pair(5, "a b c", "x y"),
+          make_pair(6, "d", "a b c"), make_pair(7, "c c c c c a", "z")]
+
+
+def fresh_models(order=3):
+    """The in-domain and general source models, then the target ones."""
+    (in_src, in_trg), (out_src, out_trg) = SIDES["in"], SIDES["out"]
+    return [train_lm(corpus, order) for corpus in (in_src, out_src, in_trg, out_trg)]
+
+
+def bits(scored):
+    """Each scored pair's pair and its five floats as exact hex strings."""
+    return [(s.pair,) + tuple(float.hex(v) for v in (
+        s.h_src_in, s.h_src_out, s.h_trg_in, s.h_trg_out, s.score))
+            for s in scored]
+
+
+class TestScorePairs:
+    def test_equals_score_pair_bit_for_bit(self):
+        for order in (1, 2, 3, 4):
+            batched = score_pairs(SCORED, *fresh_models(order))
+            lms = fresh_models(order)
+            assert bits(batched) == bits([score_pair(p, *lms) for p in SCORED])
+
+    def test_one_model_on_both_sides(self):
+        # the memo is per model: a model scoring both sides keeps both
+        lm_in = train_lm(SIDES["in"][0] + SIDES["in"][1])
+        lm_out = train_lm(SIDES["out"][0] + SIDES["out"][1])
+        batched = score_pairs(SCORED, lm_in, lm_out, lm_in, lm_out)
+        assert bits(batched) == bits([score_pair(p, lm_in, lm_out, lm_in, lm_out)
+                                      for p in SCORED])
+
+    def test_memo_is_empty_after_the_call(self):
+        lms = fresh_models()
+        assert score_pairs([], *lms) == [] and ngram._memo == {}
+        score_pairs(SCORED, *lms)
+        assert ngram._memo == {}
+        # the source models fill the memo before an empty target raises
+        with pytest.raises(ContractError):
+            score_pairs(SCORED + [make_pair(8, "a b", "")], *lms)
+        assert ngram._memo == {}
+
+    def test_cross_entropies_equal_reference(self):
+        sentences = [p.source for p in SCORED] + [p.target for p in SCORED]
+        for order in (1, 2, 3, 4):
+            lm = train_lm(SIDES["out"][0] + SIDES["out"][1], order)
+            assert cross_entropies(lm, sentences) == [
+                reference_entropy(lm, sentence) for sentence in sentences]
+
+    def test_prob_with_a_short_context_equals_reference(self):
+        lm = train_lm(SIDES["out"][0] + SIDES["in"][0], order=4)
+        counts = stored_counts(lm)
+        for context in ((), ("a",), (BOS,), ("zz",), (BOS, "a"), ("c", "a"),
+                        (BOS, BOS), ("b", "zz")):
+            mapped = tuple(t if t == BOS else lm.map_token(t) for t in context)
+            for token in lm.vocab + ["zz"]:
+                assert lm.prob(token, context) == recursive_prob(
+                    counts, len(lm.vocab), lm.map_token(token), mapped)
 
 
 class TestRankAndSplit:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from transference import ngram
 from transference.errors import ConfigError, StageError
 from transference.pipeline import (DATA_KEYS, load_pipeline_config,
                                    run_pipeline)
@@ -174,6 +175,23 @@ class TestRunPipeline:
         with pytest.raises(StageError, match="select") as err:
             run_pipeline(cfg)
         assert isinstance(err.value.cause, ConfigError)
+
+    def test_score_stage_calls_score_pair_once_per_pair(self, toy_files,
+                                                        tmp_path, monkeypatch):
+        # the benchmark's traced run times the score stage by wrapping
+        # ngram.score_pair; a validation block larger than the corpus
+        # stops the run at select, right after score
+        calls = []
+        score_pair = ngram.score_pair
+        monkeypatch.setattr(ngram, "score_pair", lambda pair, *lms: (
+            calls.append(pair.original_index) or score_pair(pair, *lms)))
+        ini = write_pipeline_ini(
+            tmp_path / "p.ini", toy_files, str(tmp_path / "work"),
+            overrides=small_overrides(select={"n_validation": "100000"}))
+        with pytest.raises(StageError, match="select"):
+            run_pipeline(load_pipeline_config(ini))
+        pairs = read_lines(str(tmp_path / "work" / "corpus" / "general.src.tc"))
+        assert sorted(calls) == list(range(len(pairs))) and len(pairs) > 100
 
     @pytest.mark.parametrize("line, cause", [
         ("", "source sentence 5 is empty"),

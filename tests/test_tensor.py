@@ -592,6 +592,16 @@ class TestFusedOps:
             np.testing.assert_allclose(g_fused[name], g_plain[name],
                                        rtol=0, atol=1e-12)
 
+    def test_attention_rejects_one_nan_score(self):
+        # attention finds NaN scores through their row maxima, on both
+        # sides of the column-loop length and wherever the NaN sits
+        for n in (5, T._ROW_MAX_LOOP + 2):
+            for at in (0, n // 2, n - 1):
+                k = np.ones((n, 2))
+                k[at] = np.nan
+                with pytest.raises(NumericError):
+                    T.attention(Tensor(np.ones((3, 2))), Tensor(k), Tensor(k))
+
     def test_attention_rejects_nan_and_bad_mask(self):
         q = Tensor(np.array([[np.nan, 1.0]]))
         k = Tensor(np.ones((3, 2)))
