@@ -7,7 +7,6 @@ stage or computation fails.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
@@ -16,13 +15,11 @@ from .bpe import BpeModel, apply_bpe, decode_bpe
 from .errors import ConfigError, TransferenceError
 from .metrics import bleu, ter
 from .model import Checkpoint, Vocab
-from .ngram import MAX_ORDER
-from .pipeline import (PipelineConfig, check_clean_limits, clean_pairs,
-                       evaluate_files, learn_merges, lm_train,
-                       load_pipeline_config, map_lines, read_pairs, read_tokens,
-                       run_pipeline, score_corpus, segment_files, select_split,
-                       source_batch, train_model, train_truecaser,
-                       truecase_files)
+from .pipeline import (CONFIG_KEYS, PipelineConfig, clean_pairs, evaluate_files,
+                       learn_merges, lm_train, load_pipeline_config, map_lines,
+                       read_pairs, read_tokens, run_pipeline, score_corpus,
+                       segment_files, select_split, source_batch, train_model,
+                       train_truecaser, truecase_files)
 from .search import translate_batch_nbest
 from .training import average_checkpoints
 
@@ -33,18 +30,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_clean(args) -> None:
-    check_clean_limits(args.min_tokens, args.max_tokens, args.max_ratio,
-                       lambda key: "--" + key.replace("_", "-"))
+    if args.min_tokens > args.max_tokens:
+        raise ConfigError("--min-tokens must be <= --max-tokens, "
+                          f"got {args.min_tokens} > {args.max_tokens}")
     print(clean_pairs(read_pairs(args.source, args.target),
                       (args.out_source, args.out_target),
                       args.min_tokens, args.max_tokens, args.max_ratio))
-
-
-def _cmd_lm_train(args) -> None:
-    if not 1 <= args.order <= MAX_ORDER:
-        raise ConfigError(f"--order must be from 1 to {MAX_ORDER}, "
-                          f"got {args.order}")
-    lm_train(args.input, args.model, args.order)
 
 
 def _cmd_score(args) -> None:
@@ -85,12 +76,8 @@ def _cmd_average(args) -> None:
 
 
 def _cmd_translate(args) -> None:
-    for flag, value in (("--beam", args.beam), ("--max-len", args.max_len),
-                        ("--nbest", args.nbest)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
-    if not math.isfinite(args.alpha):
-        raise ConfigError(f"--alpha must be finite, got {args.alpha}")
+    if args.nbest is not None and args.nbest < 1:
+        raise ConfigError(f"--nbest must be >= 1, got {args.nbest}")
     word_vocab = Vocab.load(args.word_vocab)
     bpe_vocab = Vocab.load(args.bpe_vocab)
     checkpoint = Checkpoint.load(args.checkpoint)
@@ -151,12 +138,14 @@ def _cmd_pipeline(args) -> None:
 
 
 def build_parser() -> _Parser:
+    # a flag that sets a config value takes that key's parser as its type
+    seed, decode = CONFIG_KEYS["pipeline"]["seed"], CONFIG_KEYS["decode"]
     parser = _Parser(prog="transference",
                      description="Two-encoder transformer translation pipeline.")
     parser.add_argument("--verbose", action="store_true")
     # global forms of the common flags; a subcommand's own value wins
     parser.add_argument("--config", dest="global_config", metavar="FILE")
-    parser.add_argument("--seed", dest="global_seed", type=int, metavar="N")
+    parser.add_argument("--seed", dest="global_seed", type=seed, metavar="N")
     parser.add_argument("--workdir", dest="global_workdir", metavar="DIR")
     # accept --verbose after the subcommand too; SUPPRESS keeps the
     # subparser from clobbering the top-level value when absent
@@ -192,9 +181,9 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
-    p.add_argument("--min-tokens", type=int, default=PipelineConfig.min_tokens)
-    p.add_argument("--max-tokens", type=int, default=PipelineConfig.max_tokens)
-    p.add_argument("--max-ratio", type=float, default=PipelineConfig.max_ratio)
+    for key in ("min_tokens", "max_tokens", "max_ratio"):
+        p.add_argument("--" + key.replace("_", "-"), type=CONFIG_KEYS["clean"][key],
+                       default=getattr(PipelineConfig, key))
 
     p = sub_parser("truecase-train", lambda a: train_truecaser(a.input, a.model),
                    help="learn majority casings")
@@ -215,11 +204,12 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = sub_parser("lm-train", _cmd_lm_train,
+    p = sub_parser("lm-train", lambda a: lm_train(a.input, a.model, a.order),
                    help="train an n-gram language model")
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--order", type=int, default=PipelineConfig.lm_order)
+    p.add_argument("--order", type=CONFIG_KEYS["lm"]["order"],
+                   default=PipelineConfig.lm_order)
 
     p = sub_parser("score", _cmd_score,
                    help="bilingual cross-entropy-difference scores")
@@ -244,7 +234,8 @@ def build_parser() -> _Parser:
                    lambda a: learn_merges(a.inputs, a.output, a.vocab_size),
                    help="learn joint BPE merges")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--vocab-size", type=int, default=PipelineConfig.bpe_vocab)
+    p.add_argument("--vocab-size", type=CONFIG_KEYS["bpe"]["vocab_size"],
+                   default=PipelineConfig.bpe_vocab)
     p.add_argument("--output", required=True)
 
     p = sub_parser("bpe-apply",
@@ -274,7 +265,7 @@ def build_parser() -> _Parser:
         p.add_argument("--ckpt-dir", required=True)
         p.add_argument("--init", help="checkpoint to continue from")
         p.add_argument("--epochs", type=int)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=seed)
         p.add_argument("--log")
 
     p = sub_parser("average", _cmd_average, help="elementwise mean of checkpoints")
@@ -288,10 +279,10 @@ def build_parser() -> _Parser:
     p.add_argument("--word-vocab", required=True)
     p.add_argument("--bpe-vocab", required=True)
     p.add_argument("--output")
-    p.add_argument("--beam", type=int, default=PipelineConfig.beam)
-    p.add_argument("--max-len", type=int,
+    p.add_argument("--beam", type=decode["beam"], default=PipelineConfig.beam)
+    p.add_argument("--max-len", type=decode["max_len"],
                    default=PipelineConfig.decode_max_len)
-    p.add_argument("--alpha", type=float,
+    p.add_argument("--alpha", type=decode["length_alpha"],
                    default=PipelineConfig.length_alpha)
     p.add_argument("--nbest", type=int)
     p.add_argument("--preprocess", action="store_true")
@@ -307,7 +298,7 @@ def build_parser() -> _Parser:
     p = sub_parser("pipeline", _cmd_pipeline, help="run every stage end to end")
     p.add_argument("--config", help="INI file; may also be given globally")
     p.add_argument("--workdir")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed)
 
     return parser
 

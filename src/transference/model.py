@@ -19,6 +19,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, asdict
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,8 +89,9 @@ class ModelConfig:
         for name in ("bpe_vocab_size", "word_vocab_size", "n_layers_fw",
                      "n_layers_fs", "n_layers_es", "n_layers_dec",
                      "d_model", "d_ff", "heads", "max_positions"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")

@@ -27,7 +27,9 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
+from argparse import ArgumentTypeError
 from dataclasses import dataclass, field, replace
 
 from . import corpus as C
@@ -71,46 +73,39 @@ class PipelineConfig:
     length_alpha: float = 1.0
 
     def validate(self) -> None:
+        """Check the inputs, and parse in place each field a key fills."""
         for name in DATA_KEYS:
             path = getattr(self, name)
             if not path:
                 raise ConfigError(f"config missing required [data] entry: '{name}'")
             if not os.path.exists(path):
                 raise ConfigError(f"{name} file not found: {path}")
-        check_clean_limits(self.min_tokens, self.max_tokens, self.max_ratio)
-        if self.n_validation < 1:
-            raise ConfigError("[select] n_validation must be >= 1")
-        if self.n_select < 0:
-            raise ConfigError("[select] n_select must be >= 0")
+        for (section, key), name in _FLAT.items():
+            setattr(self, name, _check(section, key, getattr(self, name)))
+        if self.min_tokens > self.max_tokens:
+            raise ConfigError("[clean] min_tokens must be <= [clean] max_tokens, "
+                              f"got {self.min_tokens} > {self.max_tokens}")
         if self.n_select == 0 and self.train_finetune.epochs > 0:
             raise ConfigError("[select] n_select = 0 leaves nothing to fine-tune "
                               "on; set [finetune] epochs = 0")
-        for section, key, value in (("lm", "order", self.lm_order),
-                                    ("model", "word_vocab_size", self.word_vocab),
-                                    ("decode", "beam", self.beam),
-                                    ("decode", "max_len", self.decode_max_len)):
-            if value < 1:
-                raise ConfigError(f"[{section}] {key} must be >= 1")
-        if self.lm_order > N.MAX_ORDER:
-            raise ConfigError(f"[lm] order must be <= {N.MAX_ORDER}, "
-                              f"got {self.lm_order}")
-        if not math.isfinite(self.length_alpha):
-            raise ConfigError(f"[decode] length_alpha must be finite, "
-                              f"got {self.length_alpha}")
 
 
-def check_clean_limits(min_tokens: int, max_tokens: int, max_ratio: float,
-                       name=lambda key: f"[clean] {key}") -> None:
-    """Raise ConfigError for cleaning limits that no pair can meet;
-    ``name`` spells a key the way its caller's user sets it."""
-    if max_tokens < 1:
-        raise ConfigError(f"{name('max_tokens')} must be >= 1, got {max_tokens}")
-    if min_tokens > max_tokens:
-        raise ConfigError(f"{name('min_tokens')} must be <= "
-                          f"{name('max_tokens')}, got {min_tokens} > {max_tokens}")
-    # a pair's length ratio, longer side over shorter, is at least 1
-    if not max_ratio >= 1:
-        raise ConfigError(f"{name('max_ratio')} must be >= 1, got {max_ratio}")
+def _setting(kind: type, rule: str = "", holds=None):
+    """A parser of text or Python numbers of type ``kind`` for which ``holds``."""
+    def parse(value):
+        number = kind(value) if isinstance(value, str) else value
+        if isinstance(number, bool) or not isinstance(
+                number, numbers.Integral if kind is int else numbers.Real):
+            raise ValueError(value)
+        if rule and not holds(number):  # argparse shows this message
+            raise ArgumentTypeError(f"must be {rule}, got {number}")
+        return number
+    parse.__name__ = kind.__name__  # argparse's "invalid int value"
+    return parse
+
+
+def _at_least(kind: type, low):
+    return _setting(kind, f">= {low}", lambda value: value >= low)
 
 
 def _grad_clip(text: str) -> float | None:
@@ -122,33 +117,49 @@ _TRAIN_KEYS = {"epochs": int, "batch_tokens": int, "max_len": int,
                "adam_epsilon": float, "label_smoothing": float,
                "checkpoint_keep": int, "grad_clip": _grad_clip}
 
-# Every key a config file may set, as section -> key -> type.  The
+# Every key a config file may set, as section -> key -> parser.  The
 # defaults live in the dataclasses the keys fill: [model] fills
 # ModelConfig (``layers`` sets all four stacks), [train] and [finetune]
-# fill TrainConfig, every other key a PipelineConfig field.
+# fill TrainConfig, and [model] word_vocab_size and every other key fill
+# the PipelineConfig field ``_FLAT`` names.
 CONFIG_KEYS = {
     "data": dict.fromkeys(DATA_KEYS + ("workdir",), str),
-    "pipeline": {"seed": int},
-    "clean": {"min_tokens": int, "max_tokens": int, "max_ratio": float},
-    "lm": {"order": int},
-    "select": {"n_validation": int, "n_select": int},
-    "bpe": {"vocab_size": int},
+    "pipeline": {"seed": _at_least(int, 0)},
+    "clean": {"min_tokens": _setting(int), "max_tokens": _at_least(int, 1),
+              # a pair's length ratio, longer side over shorter, is at least 1
+              "max_ratio": _at_least(float, 1)},
+    "lm": {"order": _setting(int, f"from 1 to {N.MAX_ORDER}",
+                             lambda order: 1 <= order <= N.MAX_ORDER)},
+    "select": {"n_validation": _at_least(int, 1), "n_select": _at_least(int, 0)},
+    "bpe": {"vocab_size": _at_least(int, 1)},
     "model": {"d_model": int, "d_ff": int, "heads": int, "layers": int,
-              "dropout": float, "max_positions": int, "word_vocab_size": int},
+              "dropout": float, "max_positions": int,
+              "word_vocab_size": _at_least(int, 1)},
     "train": _TRAIN_KEYS,
     "finetune": _TRAIN_KEYS,
-    "decode": {"beam": int, "max_len": int, "length_alpha": float},
+    "decode": {"beam": _at_least(int, 1), "max_len": _at_least(int, 1),
+               "length_alpha": _setting(float, "finite", lambda a: abs(a) < math.inf)},
 }
-# keys that fill a PipelineConfig field of another name
-_FIELDS = {("lm", "order"): "lm_order", ("bpe", "vocab_size"): "bpe_vocab",
-           ("model", "word_vocab_size"): "word_vocab",
-           ("decode", "max_len"): "decode_max_len"}
+_FLAT = {**{(section, key): key for section, keys in CONFIG_KEYS.items()
+            for key in keys if section not in ("model", "train", "finetune")},
+         ("lm", "order"): "lm_order", ("bpe", "vocab_size"): "bpe_vocab",
+         ("model", "word_vocab_size"): "word_vocab",
+         ("decode", "max_len"): "decode_max_len"}
+
+
+def _check(section: str, key: str, value):
+    """``value`` parsed as ``[section] key``, or a ConfigError naming it."""
+    try:
+        return CONFIG_KEYS[section][key](value)
+    except ArgumentTypeError as exc:
+        raise ConfigError(f"[{section}] {key} {exc}") from None
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: bad value {value!r}") from None
 
 
 def _read_config(path: str) -> dict[tuple[str, str], object]:
-    """The typed value of every key the file sets, by (section, key).
-    A section outside the table, an unknown key or a value its type
-    rejects is a ConfigError."""
+    """The parsed value of every key the file sets, by (section, key); an
+    unknown section or key, or a value its parser rejects, is a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if not parser.read(path, encoding="utf-8"):
@@ -162,11 +173,7 @@ def _read_config(path: str) -> dict[tuple[str, str], object]:
         for key, text in parser.items(section):
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"[{section}] {key}: unknown key")
-            try:
-                values[section, key] = CONFIG_KEYS[section][key](text)
-            except ValueError:
-                raise ConfigError(
-                    f"[{section}] {key}: bad value {text!r}") from None
+            values[section, key] = _check(section, key, text)
     return values
 
 
@@ -192,11 +199,10 @@ def load_pipeline_config(path: str | None,
         return {key: v for (s, key), v in values.items() if s == name}
 
     # [model], [train] and [finetune] fill the nested dataclasses below
-    cfg = PipelineConfig(**{
-        _FIELDS.get((s, key), key): v for (s, key), v in values.items()
-        if s not in ("model", "train", "finetune") or (s, key) in _FIELDS})
+    cfg = PipelineConfig(**{_FLAT[name]: v for name, v in values.items()
+                            if name in _FLAT})
     if seed_override is not None:
-        cfg.seed = seed_override
+        cfg.seed = _check("pipeline", "seed", seed_override)
     model = section("model")
     model.pop("word_vocab_size", None)
     if "layers" in model:

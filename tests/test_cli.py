@@ -56,8 +56,8 @@ class TestTextCommands:
         (("--min-tokens", "12", "--max-tokens", "3"),
          "--min-tokens must be <= --max-tokens, got 12 > 3"),
         (("--min-tokens", "0", "--max-tokens", "0"),
-         "--max-tokens must be >= 1, got 0"),
-        (("--max-ratio", "0.5"), "--max-ratio must be >= 1, got 0.5")])
+         "argument --max-tokens: must be >= 1, got 0"),
+        (("--max-ratio", "0.5"), "argument --max-ratio: must be >= 1, got 0.5")])
     def test_clean_limits_no_pair_meets_fail(self, tmp_path, capsys, flags,
                                              message):
         src, trg = tmp_path / "c.src", tmp_path / "c.trg"
@@ -162,7 +162,8 @@ class TestLmCommands:
         model = tmp_path / "c.lm"
         assert run_cli("lm-train", "--input", str(corpus), "--model",
                        str(model), "--order", "11") == 1
-        assert "--order must be from 1 to 10, got 11" in capsys.readouterr().err
+        assert ("argument --order: must be from 1 to 10, got 11"
+                in capsys.readouterr().err)
         assert not model.exists()
         assert run_cli("lm-train", "--input", str(corpus), "--model",
                        str(model), "--order", "10") == 0

@@ -246,6 +246,18 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(bpe_vocab_size=0, word_vocab_size=10)
 
+    @pytest.mark.parametrize("value", [8.0, 8.5, "8", True],
+                             ids=["float", "fraction", "string", "bool"])
+    def test_sizes_must_be_integers(self, value):
+        with pytest.raises(ConfigError, match="d_model must be a positive integer"):
+            ModelConfig(bpe_vocab_size=10, word_vocab_size=10, d_model=value,
+                        heads=1)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        cfg = ModelConfig(bpe_vocab_size=np.int64(10),
+                          word_vocab_size=np.int32(10))
+        assert cfg.bpe_vocab_size == 10
+
     def test_roundtrip_dict(self):
         cfg = tiny_config()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg

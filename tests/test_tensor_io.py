@@ -159,6 +159,26 @@ def test_malformed_sidecar_is_a_checkpoint_error(tmp_path, sidecar):
         Checkpoint.load(path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_layers_fw", 1.5), ("d_model", 8.0), ("max_positions", 8.5),
+    ("heads", "2"), ("d_ff", True),
+], ids=["fractional_layers", "float_d_model", "fractional_positions",
+        "string_heads", "bool_d_ff"])
+def test_non_integer_sidecar_size_is_a_checkpoint_error(tmp_path, capsys, name,
+                                                        value):
+    path = _tiny_checkpoint(tmp_path)
+    sidecar = tmp_path / "m.json"
+    data = json.loads(sidecar.read_text(encoding="utf-8"))
+    data["config"][name] = value
+    sidecar.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(CheckpointError,
+                       match=rf"m\.json: .*{name} must be a positive integer"):
+        Checkpoint.load(path)
+    assert main(["average", "--inputs", path, path,
+                 "--output", str(tmp_path / "avg.tfrx")]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_sidecar_config_must_fit_the_tensors(tmp_path, capsys):
     path = _tiny_checkpoint(tmp_path)
     sidecar = tmp_path / "m.json"
