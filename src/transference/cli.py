@@ -155,129 +155,99 @@ def build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_Parser)
 
-    def sub_parser(name: str, fn, **kwargs):
+    def sub_parser(name: str, fn, paths=(), **kwargs):
+        """The subcommand ``name`` running ``fn``; each of ``paths`` is a
+        required flag."""
         p = subparsers.add_parser(name, parents=[common], **kwargs)
         p.set_defaults(fn=fn)
+        for flag in paths:
+            p.add_argument(flag, required=True)
         return p
 
-    p = sub_parser("normalize",
-                   lambda a: map_lines(a.input, a.output, C.normalize_punctuation),
-                   help="punctuation normalization")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    io = ("--input", "--output")
+    sub_parser("normalize",
+               lambda a: map_lines(a.input, a.output, C.normalize_punctuation),
+               io, help="punctuation normalization")
 
     p = sub_parser("tokenize",
                    lambda a: map_lines(a.input, a.output, lambda line: " ".join(
                        C.tokenize(line, no_escape=not a.escape))),
-                   help="tokenize normalized text")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+                   io, help="tokenize normalized text")
     p.add_argument("--escape", action="store_true",
                    help="replace special characters by entity escapes")
 
     p = sub_parser("clean", _cmd_clean,
+                   ("--source", "--target", "--out-source", "--out-target"),
                    help="drop bad pairs from a tokenized parallel corpus")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--out-source", required=True)
-    p.add_argument("--out-target", required=True)
     for key in ("min_tokens", "max_tokens", "max_ratio"):
         p.add_argument("--" + key.replace("_", "-"), type=CONFIG_KEYS["clean"][key],
                        default=getattr(PipelineConfig, key))
 
-    p = sub_parser("truecase-train", lambda a: train_truecaser(a.input, a.model),
-                   help="learn majority casings")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True)
+    sub_parser("truecase-train", lambda a: train_truecaser(a.input, a.model),
+               ("--input", "--model"), help="learn majority casings")
 
-    p = sub_parser("truecase",
-                   lambda a: truecase_files(a.model, [(a.input, a.output)]),
-                   help="recase sentence-initial tokens")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--output", required=True)
+    sub_parser("truecase", lambda a: truecase_files(a.model, [(a.input, a.output)]),
+               ("--input", "--model", "--output"),
+               help="recase sentence-initial tokens")
 
-    p = sub_parser("postprocess",
-                   lambda a: map_lines(a.input, a.output,
-                                       lambda line: C.postprocess(line.split())),
-                   help="detokenize and normalize tokens")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    sub_parser("postprocess",
+               lambda a: map_lines(a.input, a.output,
+                                   lambda line: C.postprocess(line.split())),
+               io, help="detokenize and normalize tokens")
 
     p = sub_parser("lm-train", lambda a: lm_train(a.input, a.model, a.order),
-                   help="train an n-gram language model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True)
+                   ("--input", "--model"), help="train an n-gram language model")
     p.add_argument("--order", type=CONFIG_KEYS["lm"]["order"],
                    default=PipelineConfig.lm_order)
 
-    p = sub_parser("score", _cmd_score,
-                   help="bilingual cross-entropy-difference scores")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--lm-in-source", required=True)
-    p.add_argument("--lm-out-source", required=True)
-    p.add_argument("--lm-in-target", required=True)
-    p.add_argument("--lm-out-target", required=True)
-    p.add_argument("--output", required=True)
+    sub_parser("score", _cmd_score,
+               ("--source", "--target", "--lm-in-source", "--lm-out-source",
+                "--lm-in-target", "--lm-out-target", "--output"),
+               help="bilingual cross-entropy-difference scores")
 
-    p = sub_parser("select", _cmd_select, help="rank by score and split the corpus")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
+    p = sub_parser("select", _cmd_select,
+                   ("--scores", "--source", "--target", "--out-prefix"),
+                   help="rank by score and split the corpus")
     p.add_argument("--n-validation", type=int,
                    default=PipelineConfig.n_validation)
-    p.add_argument("--n-select", type=int, default=PipelineConfig.n_select)
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--n-select", type=CONFIG_KEYS["select"]["n_select"],
+                   default=PipelineConfig.n_select)
 
     p = sub_parser("bpe-learn",
                    lambda a: learn_merges(a.inputs, a.output, a.vocab_size),
-                   help="learn joint BPE merges")
+                   ("--output",), help="learn joint BPE merges")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--vocab-size", type=CONFIG_KEYS["bpe"]["vocab_size"],
                    default=PipelineConfig.bpe_vocab)
-    p.add_argument("--output", required=True)
 
-    p = sub_parser("bpe-apply",
-                   lambda a: segment_files(a.merges, [(a.input, a.output)]),
-                   help="segment tokens into subword units")
-    p.add_argument("--merges", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    sub_parser("bpe-apply", lambda a: segment_files(a.merges, [(a.input, a.output)]),
+               ("--merges", *io), help="segment tokens into subword units")
 
-    p = sub_parser("bpe-decode",
-                   lambda a: map_lines(a.input, a.output, lambda line: " ".join(
-                       decode_bpe(line.split()))),
-                   help="undo BPE segmentation")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    sub_parser("bpe-decode",
+               lambda a: map_lines(a.input, a.output, lambda line: " ".join(
+                   decode_bpe(line.split()))),
+               io, help="undo BPE segmentation")
 
     for name, phase in (("train", "generic"), ("finetune", "finetune")):
         p = sub_parser(name, lambda a, _phase=phase: _run_training(a, _phase),
-                       help=f"{phase} training phase")
+                       ("--source-bpe", "--target-bpe", "--val-source-bpe",
+                        "--val-target-bpe", "--word-vocab", "--bpe-vocab",
+                        "--ckpt-dir"), help=f"{phase} training phase")
         p.add_argument("--config", help="INI file with [model]/[train]/[finetune]")
-        p.add_argument("--source-bpe", required=True)
-        p.add_argument("--target-bpe", required=True)
-        p.add_argument("--val-source-bpe", required=True)
-        p.add_argument("--val-target-bpe", required=True)
-        p.add_argument("--word-vocab", required=True)
-        p.add_argument("--bpe-vocab", required=True)
-        p.add_argument("--ckpt-dir", required=True)
         p.add_argument("--init", help="checkpoint to continue from")
-        p.add_argument("--epochs", type=int)
+        p.add_argument("--epochs", type=CONFIG_KEYS[name]["epochs"])
         p.add_argument("--seed", type=seed)
         p.add_argument("--log")
 
-    p = sub_parser("average", _cmd_average, help="elementwise mean of checkpoints")
+    p = sub_parser("average", _cmd_average, ("--output",),
+                   help="elementwise mean of checkpoints")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--output", required=True)
 
-    p = sub_parser("translate", _cmd_translate, help="beam-search decode")
-    p.add_argument("--checkpoint", required=True)
+    p = sub_parser("translate", _cmd_translate,
+                   ("--checkpoint", "--word-vocab", "--bpe-vocab"),
+                   help="beam-search decode")
     p.add_argument("--input", required=True,
                    help="BPE-segmented source (or raw text with --preprocess)")
-    p.add_argument("--word-vocab", required=True)
-    p.add_argument("--bpe-vocab", required=True)
     p.add_argument("--output")
     p.add_argument("--beam", type=decode["beam"], default=PipelineConfig.beam)
     p.add_argument("--max-len", type=decode["max_len"],
@@ -289,9 +259,8 @@ def build_parser() -> _Parser:
     p.add_argument("--truecase-model")
     p.add_argument("--bpe-merges")
 
-    p = sub_parser("evaluate", _cmd_evaluate, help="BLEU/TER scoring")
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--ref", required=True)
+    p = sub_parser("evaluate", _cmd_evaluate, ("--hyp", "--ref"),
+                   help="BLEU/TER scoring")
     p.add_argument("--metric", choices=("bleu", "ter", "both"), default="both")
     p.add_argument("--json", help="write the JSON report here (--metric both)")
 

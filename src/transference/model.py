@@ -19,14 +19,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, asdict
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .corpus import read_lines, write_lines, write_text
-from .errors import CheckpointError, ConfigError, ContractError
+from .errors import (CheckpointError, ConfigError, ContractError, Setting,
+                     at_least, check_fields)
 from .tensor import MASK_VALUE, Tensor
 from .tensor_io import load_tensors, save_tensors
 
@@ -71,6 +71,14 @@ class Vocab:
         return cls([line for line in read_lines(path) if line])
 
 
+# The rule of each ModelConfig field, of the [model] key that sets it
+# (``layers`` sets all four n_layers_*) and of a checkpoint sidecar's value.
+MODEL_RULES = {**dict.fromkeys(("bpe_vocab_size", "word_vocab_size", "n_layers_fw",
+                                "n_layers_fs", "n_layers_es", "n_layers_dec", "d_model",
+                                "d_ff", "heads", "max_positions"), at_least(int, 1)),
+               "dropout": Setting(float, "in [0, 1)", lambda p: 0 <= p < 1)}
+
+
 @dataclass
 class ModelConfig:
     bpe_vocab_size: int
@@ -86,17 +94,10 @@ class ModelConfig:
     max_positions: int = 256
 
     def __post_init__(self):
-        for name in ("bpe_vocab_size", "word_vocab_size", "n_layers_fw",
-                     "n_layers_fs", "n_layers_es", "n_layers_dec",
-                     "d_model", "d_ff", "heads", "max_positions"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        check_fields(self, MODEL_RULES)
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)

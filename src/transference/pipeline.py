@@ -27,20 +27,20 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
-from argparse import ArgumentTypeError
 from dataclasses import dataclass, field, replace
 
 from . import corpus as C
 from . import ngram as N
 from .bpe import BpeModel, apply_bpe, decode_bpe, learn_bpe
-from .errors import ConfigError, ContractError, DataError, StageError
+from .errors import (ConfigError, ContractError, DataError, Setting, StageError,
+                     at_least, checked)
 from .metrics import EvalReport, evaluate_corpus
-from .model import (Checkpoint, ModelConfig, SourceBatch, Vocab, check_source,
-                    init_params, make_source_batch)
+from .model import (MODEL_RULES, Checkpoint, ModelConfig, SourceBatch, Vocab,
+                    check_source, init_params, make_source_batch)
 from .search import translate_batch
-from .training import PreparedPair, TrainConfig, TrainResult, train
+from .training import (TRAIN_RULES, PreparedPair, TrainConfig, TrainResult,
+                       train)
 
 ENV_WORKDIR = "TRANSFERENCE_WORKDIR"
 DATA_KEYS = ("general_source", "general_target",
@@ -73,7 +73,8 @@ class PipelineConfig:
     length_alpha: float = 1.0
 
     def validate(self) -> None:
-        """Check the inputs, and parse in place each field a key fills."""
+        """Check the inputs, parse in place each field a key fills, and
+        check the nested configs again."""
         for name in DATA_KEYS:
             path = getattr(self, name)
             if not path:
@@ -82,6 +83,9 @@ class PipelineConfig:
                 raise ConfigError(f"{name} file not found: {path}")
         for (section, key), name in _FLAT.items():
             setattr(self, name, _check(section, key, getattr(self, name)))
+        for section, name in (("model", "model"), ("train", "train_generic"),
+                              ("finetune", "train_finetune")):
+            setattr(self, name, _replace(section, getattr(self, name)))
         if self.min_tokens > self.max_tokens:
             raise ConfigError("[clean] min_tokens must be <= [clean] max_tokens, "
                               f"got {self.min_tokens} > {self.max_tokens}")
@@ -90,56 +94,28 @@ class PipelineConfig:
                               "on; set [finetune] epochs = 0")
 
 
-def _setting(kind: type, rule: str = "", holds=None):
-    """A parser of text or Python numbers of type ``kind`` for which ``holds``."""
-    def parse(value):
-        number = kind(value) if isinstance(value, str) else value
-        if isinstance(number, bool) or not isinstance(
-                number, numbers.Integral if kind is int else numbers.Real):
-            raise ValueError(value)
-        if rule and not holds(number):  # argparse shows this message
-            raise ArgumentTypeError(f"must be {rule}, got {number}")
-        return number
-    parse.__name__ = kind.__name__  # argparse's "invalid int value"
-    return parse
-
-
-def _at_least(kind: type, low):
-    return _setting(kind, f">= {low}", lambda value: value >= low)
-
-
-def _grad_clip(text: str) -> float | None:
-    return None if text in ("none", "off") else float(text)
-
-
-_TRAIN_KEYS = {"epochs": int, "batch_tokens": int, "max_len": int,
-               "warmup_steps": int, "beta1": float, "beta2": float,
-               "adam_epsilon": float, "label_smoothing": float,
-               "checkpoint_keep": int, "grad_clip": _grad_clip}
-
-# Every key a config file may set, as section -> key -> parser.  The
-# defaults live in the dataclasses the keys fill: [model] fills
-# ModelConfig (``layers`` sets all four stacks), [train] and [finetune]
-# fill TrainConfig, and [model] word_vocab_size and every other key fill
-# the PipelineConfig field ``_FLAT`` names.
+# Every key a config file may set, as section -> key -> parser (``str`` or
+# a Setting).  The defaults live in the dataclasses the keys fill: [model]
+# fills ModelConfig, [train] and [finetune] fill TrainConfig, by those
+# classes' rules; [model] word_vocab_size and every other key fill the
+# PipelineConfig field ``_FLAT`` names.
 CONFIG_KEYS = {
     "data": dict.fromkeys(DATA_KEYS + ("workdir",), str),
-    "pipeline": {"seed": _at_least(int, 0)},
-    "clean": {"min_tokens": _setting(int), "max_tokens": _at_least(int, 1),
+    "pipeline": {"seed": TRAIN_RULES["seed"]},
+    "clean": {"min_tokens": Setting(int), "max_tokens": at_least(int, 1),
               # a pair's length ratio, longer side over shorter, is at least 1
-              "max_ratio": _at_least(float, 1)},
-    "lm": {"order": _setting(int, f"from 1 to {N.MAX_ORDER}",
-                             lambda order: 1 <= order <= N.MAX_ORDER)},
-    "select": {"n_validation": _at_least(int, 1), "n_select": _at_least(int, 0)},
-    "bpe": {"vocab_size": _at_least(int, 1)},
-    "model": {"d_model": int, "d_ff": int, "heads": int, "layers": int,
-              "dropout": float, "max_positions": int,
-              "word_vocab_size": _at_least(int, 1)},
-    "train": _TRAIN_KEYS,
-    "finetune": _TRAIN_KEYS,
-    "decode": {"beam": _at_least(int, 1), "max_len": _at_least(int, 1),
-               "length_alpha": _setting(float, "finite", lambda a: abs(a) < math.inf)},
+              "max_ratio": at_least(float, 1)},
+    "lm": {"order": Setting(int, f"from 1 to {N.MAX_ORDER}",
+                            lambda order: 1 <= order <= N.MAX_ORDER)},
+    "select": {"n_validation": at_least(int, 1), "n_select": at_least(int, 0)},
+    "bpe": {"vocab_size": at_least(int, 1)},
+    "model": {"layers": MODEL_RULES["n_layers_fw"], **{key: MODEL_RULES[key] for key in (
+        "d_model", "d_ff", "heads", "dropout", "max_positions", "word_vocab_size")}},
+    "train": {key: rule for key, rule in TRAIN_RULES.items() if key != "seed"},
+    "decode": {"beam": at_least(int, 1), "max_len": at_least(int, 1),
+               "length_alpha": Setting(float, "finite", lambda a: abs(a) < math.inf)},
 }
+CONFIG_KEYS["finetune"] = CONFIG_KEYS["train"]
 _FLAT = {**{(section, key): key for section, keys in CONFIG_KEYS.items()
             for key in keys if section not in ("model", "train", "finetune")},
          ("lm", "order"): "lm_order", ("bpe", "vocab_size"): "bpe_vocab",
@@ -149,12 +125,7 @@ _FLAT = {**{(section, key): key for section, keys in CONFIG_KEYS.items()
 
 def _check(section: str, key: str, value):
     """``value`` parsed as ``[section] key``, or a ConfigError naming it."""
-    try:
-        return CONFIG_KEYS[section][key](value)
-    except ArgumentTypeError as exc:
-        raise ConfigError(f"[{section}] {key} {exc}") from None
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: bad value {value!r}") from None
+    return checked(f"[{section}] {key}", CONFIG_KEYS[section][key], value)
 
 
 def _read_config(path: str) -> dict[tuple[str, str], object]:

@@ -17,11 +17,24 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import write_text
-from .errors import (CheckpointError, ConfigError, ContractError,
-                     TrainingError)
+from .errors import (CheckpointError, ConfigError, ContractError, Setting,
+                     TrainingError, at_least, check_fields)
 from .model import (Checkpoint, ModelConfig, PAD_ID, BOS_ID, EOS_ID,
                     SourceBatch, decode_forward, encode, make_source_batch)
 from .tensor import GradTape, Tensor, backward
+
+
+# The rule of each TrainConfig field and of the [train] and [finetune] key
+# of the same name; ``seed`` is the [pipeline] seed.  A grad_clip of None
+# ("none" or "off") disables the divergence guard.
+TRAIN_RULES = {
+    "epochs": at_least(int, 0), "seed": at_least(int, 0),
+    **dict.fromkeys(("batch_tokens", "max_len", "warmup_steps", "checkpoint_keep"),
+                    at_least(int, 1)),
+    **dict.fromkeys(("beta1", "beta2", "label_smoothing"),
+                    Setting(float, "in [0, 1)", lambda b: 0 <= b < 1)),
+    "adam_epsilon": Setting(float, "> 0", lambda e: e > 0),
+    "grad_clip": Setting(float, "> 0 or none", lambda c: c > 0, none=("none", "off"))}
 
 
 @dataclass
@@ -39,22 +52,7 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("batch_tokens", "max_len", "warmup_steps",
-                     "checkpoint_keep"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigError(
-                f"label_smoothing {self.label_smoothing} outside [0, 1)")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} outside [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ConfigError("adam_epsilon must be positive")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError(f"grad_clip {self.grad_clip} must be > 0 or none")
+        check_fields(self, TRAIN_RULES)
 
 
 def lr_schedule(step: int, d_model: int = 512, warmup: int = 8000) -> float:

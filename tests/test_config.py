@@ -3,12 +3,15 @@ seed, and configs without [data]."""
 
 import pathlib
 import re
+from dataclasses import replace
 
 import pytest
 
 from transference.cli import main
 from transference.errors import ConfigError
+from transference.model import ModelConfig
 from transference.pipeline import load_pipeline_config, run_pipeline
+from transference.training import TrainConfig
 
 from conftest import write_pipeline_ini
 
@@ -120,9 +123,10 @@ def test_order_above_bound_fails_before_the_first_stage(toy_files, tmp_path,
     assert not work.exists()
 
 
-# Every range-checked key that fills a PipelineConfig field: the field,
-# a value out of range, and the commands whose flag sets the same value
-# ("--seed pipeline" is the global flag before the command).
+# Every range-checked key: the PipelineConfig field it fills (``nested.field``
+# for a field of cfg.model, cfg.train_generic or cfg.train_finetune), a value
+# out of range, and the commands whose flag sets the same value ("--seed
+# pipeline" is the global flag before the command).
 RANGES = [
     ("pipeline", "seed", "seed", "-1",
      ["--seed pipeline", "pipeline --seed", "train --seed", "finetune --seed"]),
@@ -132,10 +136,29 @@ RANGES = [
     ("lm", "order", "lm_order", "0", ["lm-train --order"]),
     ("lm", "order", "lm_order", "11", ["lm-train --order"]),
     ("select", "n_validation", "n_validation", "0", []),
-    ("select", "n_select", "n_select", "-1", []),
+    ("select", "n_select", "n_select", "-1", ["select --n-select"]),
     ("bpe", "vocab_size", "bpe_vocab", "0", ["bpe-learn --vocab-size"]),
     ("bpe", "vocab_size", "bpe_vocab", "-5", ["bpe-learn --vocab-size"]),
     ("model", "word_vocab_size", "word_vocab", "0", []),
+    ("model", "layers", "model.n_layers_fw", "0", []),
+    ("model", "d_model", "model.d_model", "0", []),
+    ("model", "d_ff", "model.d_ff", "-4", []),
+    ("model", "heads", "model.heads", "0", []),
+    ("model", "max_positions", "model.max_positions", "0", []),
+    ("model", "dropout", "model.dropout", "1.0", []),
+    ("model", "dropout", "model.dropout", "-0.1", []),
+    ("train", "epochs", "train_generic.epochs", "-1", ["train --epochs"]),
+    ("train", "batch_tokens", "train_generic.batch_tokens", "0", []),
+    ("train", "max_len", "train_generic.max_len", "0", []),
+    ("train", "warmup_steps", "train_generic.warmup_steps", "0", []),
+    ("train", "checkpoint_keep", "train_generic.checkpoint_keep", "0", []),
+    ("train", "beta1", "train_generic.beta1", "1.0", []),
+    ("train", "beta2", "train_generic.beta2", "-0.5", []),
+    ("train", "label_smoothing", "train_generic.label_smoothing", "nan", []),
+    ("train", "adam_epsilon", "train_generic.adam_epsilon", "0.0", []),
+    ("train", "grad_clip", "train_generic.grad_clip", "-1.0", []),
+    ("finetune", "epochs", "train_finetune.epochs", "-1", ["finetune --epochs"]),
+    ("finetune", "grad_clip", "train_finetune.grad_clip", "0.0", []),
     ("decode", "beam", "beam", "0", ["translate --beam"]),
     ("decode", "max_len", "decode_max_len", "0", ["translate --max-len"]),
     ("decode", "length_alpha", "length_alpha", "nan", ["translate --alpha"]),
@@ -157,7 +180,17 @@ COMMANDS = {
     "bpe-learn": ["bpe-learn", "--inputs", "c.txt", "--output", "OUT"],
     "translate": ["translate", "--checkpoint", "m.tfrx", "--input", "s",
                   "--word-vocab", "w", "--bpe-vocab", "b", "--output", "OUT"],
+    "select": ["select", "--scores", "s.tsv", "--source", "s", "--target", "t",
+               "--out-prefix", "OUT"],
 }
+
+
+def owner(cfg, field):
+    """The config object that holds ``field`` and the field's own name."""
+    if "." not in field:
+        return cfg, field
+    nested, name = field.split(".")
+    return getattr(cfg, nested), name
 
 
 @pytest.mark.parametrize("section, key, field, value, flags", RANGES,
@@ -181,11 +214,32 @@ def test_out_of_range_value_set_in_python_fails_before_the_first_stage(
     work = tmp_path / "work"
     cfg = load_pipeline_config(write_pipeline_ini(tmp_path / "c.ini", toy_files,
                                                   str(work)))
-    setattr(cfg, field, type(getattr(cfg, field))(value))
+    obj, name = owner(cfg, field)
+    setattr(obj, name, type(getattr(obj, name))(value))
+    # a nested field is named as set, n_layers_fw rather than [model] layers
+    shown = key if obj is cfg else name
     with pytest.raises(ConfigError,
-                       match=rf"^\[{section}\] {key} must be .*, got {value}$"):
+                       match=rf"^\[{section}\] {shown} must be .*, got {value}$"):
         run_pipeline(cfg)
     assert not work.exists()
+
+
+@pytest.mark.parametrize("section, key, field, value, flags",
+                         [row for row in RANGES if "." in row[2]],
+                         ids=[i for i, row in zip(RANGE_IDS, RANGES) if "." in row[2]])
+def test_out_of_range_value_in_the_constructor_reads_as_in_the_ini(
+        tmp_path, section, key, field, value, flags):
+    nested, name = field.split(".")
+    cls, sizes = ((ModelConfig, {"bpe_vocab_size": 1, "word_vocab_size": 1})
+                  if nested == "model" else (TrainConfig, {}))
+    number = type(getattr(cls(**sizes), name))(value)
+    with pytest.raises(ConfigError, match=rf"^{name} must be .*, got {value}$") as built:
+        cls(**sizes, **{name: number})
+    with pytest.raises(ConfigError) as read:
+        load_pipeline_config(write_ini(tmp_path / "c.ini",
+                                       f"[{section}]\n{key} = {value}\n"))
+    assert str(read.value) == f"[{section}] {key} must be " + str(
+        built.value).split(" must be ", 1)[1]
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -208,15 +262,40 @@ def test_out_of_range_flag_is_1_and_named(tmp_path, capsys, command, flag,
 
 @pytest.mark.parametrize("field, key, value", [
     ("beam", "beam", 2.5), ("seed", "seed", True), ("max_tokens", "max_tokens", "x"),
-    ("length_alpha", "length_alpha", None), ("bpe_vocab", "vocab_size", 1e3)])
+    ("length_alpha", "length_alpha", None), ("bpe_vocab", "vocab_size", 1e3),
+    ("model.heads", "heads", "2"), ("model.dropout", "dropout", None),
+    ("train_finetune.max_len", "max_len", 64.0)])
 def test_wrong_type_set_in_python_is_a_config_error(toy_files, tmp_path, field,
                                                     key, value):
     cfg = load_pipeline_config(write_pipeline_ini(tmp_path / "c.ini", toy_files,
                                                   str(tmp_path / "work")))
-    setattr(cfg, field, value)
+    obj, name = owner(cfg, field)
+    setattr(obj, name, value)
     with pytest.raises(ConfigError, match=f"] {key}: bad value"):
         run_pipeline(cfg)
     assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("epochs", 1.5), ("batch_tokens", "9"), ("checkpoint_keep", True),
+    ("warmup_steps", None), ("seed", 2.0), ("beta1", None), ("beta2", "0.9"),
+    ("label_smoothing", False), ("grad_clip", "none")])
+def test_wrong_type_in_train_config_is_a_config_error(name, value):
+    with pytest.raises(ConfigError,
+                       match=rf"^{name}: bad value {re.escape(repr(value))}$"):
+        TrainConfig(**{name: value})
+
+
+def test_fractional_epochs_fail_before_the_first_stage(toy_files, tmp_path):
+    work = tmp_path / "work"
+    cfg = load_pipeline_config(write_pipeline_ini(tmp_path / "c.ini", toy_files,
+                                                  str(work)))
+    with pytest.raises(ConfigError, match=r"^epochs: bad value 1\.5$"):
+        cfg.train_generic = replace(cfg.train_generic, epochs=1.5)
+    cfg.train_generic.epochs = 1.5
+    with pytest.raises(ConfigError, match=r"^\[train\] epochs: bad value 1\.5$"):
+        run_pipeline(cfg)
+    assert not work.exists()
 
 
 def test_validate_parses_text_set_in_python(toy_files, tmp_path):

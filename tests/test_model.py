@@ -249,7 +249,7 @@ class TestModelConfig:
     @pytest.mark.parametrize("value", [8.0, 8.5, "8", True],
                              ids=["float", "fraction", "string", "bool"])
     def test_sizes_must_be_integers(self, value):
-        with pytest.raises(ConfigError, match="d_model must be a positive integer"):
+        with pytest.raises(ConfigError, match="d_model: bad value"):
             ModelConfig(bpe_vocab_size=10, word_vocab_size=10, d_model=value,
                         heads=1)
 

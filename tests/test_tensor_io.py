@@ -172,7 +172,7 @@ def test_non_integer_sidecar_size_is_a_checkpoint_error(tmp_path, capsys, name,
     data["config"][name] = value
     sidecar.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(CheckpointError,
-                       match=rf"m\.json: .*{name} must be a positive integer"):
+                       match=rf"m\.json: .*{name}: bad value"):
         Checkpoint.load(path)
     assert main(["average", "--inputs", path, path,
                  "--output", str(tmp_path / "avg.tfrx")]) == 2
