@@ -383,9 +383,12 @@ class DecoderCache:
 def decode_forward(config: ModelConfig, params: dict[str, Tensor],
                    encoded: EncodedSource, target_prefix_ids: np.ndarray,
                    training: bool = False, rng=None,
-                   cache: DecoderCache | None = None) -> Tensor:
+                   cache: DecoderCache | None = None,
+                   project: bool = True) -> Tensor:
     """Causally masked decoder over BPE ids attending to the bridge
-    output; returns logits [batch, tgt_len, bpe_vocab].
+    output; returns logits [batch, tgt_len, bpe_vocab], or with
+    ``project=False`` the decoder states [batch, tgt_len, d_model] that
+    the output projection reads.
 
     Sequences may be one position longer than ``max_positions`` to make
     room for the BOS offset.  Padded targets must be padded on the right:
@@ -432,6 +435,8 @@ def decode_forward(config: ModelConfig, params: dict[str, Tensor],
 
     if cache is not None:
         cache.length = end
+    if not project:
+        return y
     return T.linear(y, params["output/weight"], params["output/bias"])
 
 

@@ -185,7 +185,8 @@ class IncrementalDecoder:
 
     def _step(self, prefix: tuple[int, ...]) -> _DecoderState:
         logits = decode_forward(self.cfg, self.params, self.encoded, np.array([prefix]))
-        return _DecoderState(prefix, stable_log_softmax(logits.data[0, -1]))
+        # a copy of the last row, so the state does not pin every row
+        return _DecoderState(prefix, stable_log_softmax(logits.data[0, -1].copy()))
 
 
 def _lockstep(checkpoint: Checkpoint, source: SourceBatch, beam: int,

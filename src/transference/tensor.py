@@ -230,14 +230,18 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _make_output(out, (a,), rule)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b) for x [..., d], w [d, k] and b [k], as one op: one
-    [rows, d] GEMM, both gradients as flat GEMMs and the bias gradient as
-    one column sum."""
+def _check_linear(x: Tensor, w: Tensor, b: Tensor | None) -> None:
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear input {x.shape} does not fit weight {w.shape}")
     if b is not None and b.data.shape != w.data.shape[1:]:
         raise ShapeError(f"linear bias {b.shape} does not fit weight {w.shape}")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for x [..., d], w [d, k] and b [k], as one op: one
+    [rows, d] GEMM, both gradients as flat GEMMs and the bias gradient as
+    one column sum."""
+    _check_linear(x, w, b)
     d, k = w.data.shape
     lead = x.data.shape[:-1]
     rows = math.prod(lead)
@@ -459,47 +463,97 @@ def reshape(a: Tensor, shape: Iterable[int]) -> Tensor:
     return _make_output(out, (a,), rule)
 
 
+# Bytes of rows that ``stable_log_softmax`` exponentiates at once: its
+# one temporary is a block of rows this size (or one row), not a copy of
+# the whole array.
+_EXP_BLOCK_BYTES = 1 << 20
+
+
 def stable_log_softmax(x: np.ndarray) -> np.ndarray:
-    """log softmax over the last axis of an array, shifted by the row
-    maximum so that exp cannot overflow."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted
+    """log softmax over the last axis of a C-contiguous array, in place,
+    shifted by the row maximum so that exp cannot overflow; returns ``x``.
+    The exp-sums run over blocks of about ``_EXP_BLOCK_BYTES``; each row
+    gets the float operations of one whole-array pass."""
+    if not x.flags.c_contiguous:
+        raise ContractError("stable_log_softmax works in place on a C-contiguous array")
+    x -= x.max(axis=-1, keepdims=True)
+    rows = x.reshape(-1, x.shape[-1])
+    block = max(1, _EXP_BLOCK_BYTES // (rows.shape[1] * rows.itemsize))
+    for start in range(0, rows.shape[0], block):
+        part = rows[start:start + block]
+        part -= np.log(np.exp(part).sum(axis=-1, keepdims=True))
+    return x
 
 
-def smoothed_cross_entropy(logits: Tensor, targets: np.ndarray,
-                           counted: np.ndarray, eps: float) -> Tensor:
+def smoothed_cross_entropy(x: Tensor, targets: np.ndarray,
+                           counted: np.ndarray, eps: float,
+                           weight: Tensor | None = None,
+                           bias: Tensor | None = None) -> Tensor:
     """Mean label-smoothed cross-entropy over the ``counted`` positions,
     as one op: 1 - eps on the target id, eps / (V - 1) on every other id.
 
-    ``targets`` and the boolean ``counted`` have the shape of ``logits``
-    without its last axis.  Only the log-probabilities are kept for the
-    backward rule, which is ((a + s V) p - s - a onehot) / n at counted
-    positions, with s = eps / (V - 1) and a = 1 - eps - s."""
+    Given ``weight`` [d, V] (and ``bias`` [V]), ``x`` [..., d] holds the
+    states the output projection reads, and the op computes the logits
+    ``x @ weight + bias`` with ``linear``'s float operations; without
+    them ``x`` holds the logits [..., V] and the op works on one copy.
+    ``targets`` and the boolean ``counted`` have the shape of ``x``
+    without its last axis.
+
+    One [rows, V] buffer holds the logits and becomes the
+    log-probabilities in place.  The backward rule keeps only that buffer
+    (and ``x`` and ``weight``), overwrites it with the logits gradient,
+    ((a + s V) p - s - a onehot) / n at counted positions with
+    s = eps / (V - 1) and a = 1 - eps - s, and runs ``linear``'s two
+    GEMMs and bias sum on it."""
+    project = weight is not None
+    if project:
+        _check_linear(x, weight, bias)
     targets = np.asarray(targets)
     counted = np.asarray(counted, dtype=bool)
-    if targets.shape != logits.data.shape[:-1] or counted.shape != targets.shape:
+    if targets.shape != x.data.shape[:-1] or counted.shape != targets.shape:
         raise ShapeError(
-            f"targets {targets.shape} / counted {counted.shape} do not fit logits {logits.shape}")
+            f"targets {targets.shape} / counted {counted.shape} do not fit "
+            f"{'states' if project else 'logits'} {x.shape}")
     n = int(counted.sum())
     if n == 0:
         raise ContractError("cross-entropy over no counted positions")
-    vocab = logits.data.shape[-1]
-    kind = logits.data.dtype.type
+    rows, depth = targets.size, x.data.shape[-1]
+    flat_targets = targets.reshape(-1)
+    flat_counted = counted.reshape(-1)
+    if project:
+        x2, w_data = x.data.reshape(rows, depth), weight.data
+        logp = x2 @ w_data
+        if bias is not None:
+            logp += bias.data
+    else:
+        logp = np.array(x.data, order="C").reshape(rows, depth)
+    vocab = logp.shape[-1]
+    kind = logp.dtype.type
     smooth = eps / (vocab - 1)
     gold_weight = 1.0 - eps - smooth
-    logp = stable_log_softmax(logits.data)
-    gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    stable_log_softmax(logp)
+    gold = logp[np.arange(rows), flat_targets]
     per_pos = gold * kind(-gold_weight) + logp.sum(axis=-1) * kind(-smooth)
-    out = np.asarray(per_pos[counted].sum() * kind(1.0 / n))
+    out = np.asarray(per_pos[flat_counted].sum() * kind(1.0 / n))
 
-    def rule(g):
-        grad = np.exp(logp)
+    def logits_grad(g):
+        grad = np.exp(logp, out=logp)
         grad *= kind(gold_weight + smooth * vocab)
         grad -= kind(smooth)
-        flat = grad.reshape(-1, vocab)
-        flat[np.arange(flat.shape[0]), targets.reshape(-1)] -= kind(gold_weight)
-        grad *= (counted * (g / n)).astype(grad.dtype)[..., None]
-        return (grad,)
+        grad[np.arange(rows), flat_targets] -= kind(gold_weight)
+        grad *= (flat_counted * (g / n)).astype(grad.dtype)[:, None]
+        return grad
 
-    return _make_output(out, (logits,), rule)
+    shape = x.data.shape
+    if not project:
+        return _make_output(out, (x,), lambda g: (logits_grad(g).reshape(shape),))
+    x_grad, w_grad = x.requires_grad, weight.requires_grad
+    b_grad = bias is not None and bias.requires_grad
+
+    def rule(g):
+        g2 = logits_grad(g)
+        return ((g2 @ w_data.T).reshape(shape) if x_grad else None,
+                x2.T @ g2 if w_grad else None,
+                g2.sum(axis=0) if b_grad else None)
+
+    return _make_output(out, (x, weight) if bias is None else (x, weight, bias), rule)

@@ -68,13 +68,18 @@ def lr_schedule(step: int, d_model: int = 512, warmup: int = 8000) -> float:
     return d_model ** -0.5 * min(rsqrt, linear)
 
 
-def label_smoothed_loss(logits: Tensor, target_ids: np.ndarray,
-                        eps_ls: float = 0.1, pad_id: int = PAD_ID) -> Tensor:
+def label_smoothed_loss(x: Tensor, target_ids: np.ndarray,
+                        eps_ls: float = 0.1, pad_id: int = PAD_ID,
+                        weight: Tensor | None = None,
+                        bias: Tensor | None = None) -> Tensor:
     """Mean cross-entropy against the smoothed target distribution:
     1 - eps on the gold token, eps/(V-1) on every other vocabulary entry.
-    Padding positions are excluded from the mean."""
+    Padding positions are excluded from the mean.  ``x`` holds logits, or,
+    given the output ``weight`` and ``bias``, the decoder states they
+    project (``tensor.smoothed_cross_entropy``)."""
     target_ids = np.asarray(target_ids)
-    return T.smoothed_cross_entropy(logits, target_ids, target_ids != pad_id, eps_ls)
+    return T.smoothed_cross_entropy(x, target_ids, target_ids != pad_id, eps_ls,
+                                    weight, bias)
 
 
 @dataclass
@@ -134,7 +139,8 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     Returns the pre-clip norm."""
     total = 0.0
     for g in grads.values():
-        total += float((g.astype(np.float64) ** 2).sum())
+        square = g.astype(np.float64)
+        total += float(np.square(square, out=square).sum())
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         factor = max_norm / norm
@@ -254,10 +260,18 @@ def average_checkpoints(checkpoints: Iterable[Checkpoint]) -> Checkpoint:
 def forward_loss(config: ModelConfig, params: dict[str, Tensor],
                  batch: Batch, eps_ls: float, training: bool,
                  rng=None) -> Tensor:
+    """The label-smoothed loss of ``batch``.  The decoder hands over its
+    states, and the loss op applies the output projection itself, so a
+    step holds one [target tokens, V] array: the buffer that goes from
+    logits to log-probabilities to the logits gradient.  The value and
+    every gradient equal ``decode_forward`` followed by
+    ``label_smoothed_loss`` on its logits, bit for bit."""
     encoded = encode(config, params, batch.source, training, rng)
-    logits = decode_forward(config, params, encoded, batch.tgt_in,
-                            training, rng)
-    return label_smoothed_loss(logits, batch.tgt_out, eps_ls)
+    states = decode_forward(config, params, encoded, batch.tgt_in,
+                            training, rng, project=False)
+    return label_smoothed_loss(states, batch.tgt_out, eps_ls,
+                               weight=params["output/weight"],
+                               bias=params["output/bias"])
 
 
 def validation_loss(config: ModelConfig, params: dict[str, Tensor],

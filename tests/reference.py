@@ -1,10 +1,12 @@
 """Unfused tape ops that the tests compose into references.
 
 The program runs fused ops (``tensor.linear``, ``tensor.attention``,
-``tensor.smoothed_cross_entropy``) with one hand-written backward rule
+``tensor.smoothed_cross_entropy``, which also runs the output projection
+when given its weight and bias) with one hand-written backward rule
 each.  The tests check each fused op against the same computation built
-from the small ops below, and check these ops themselves against finite
-differences.  They record on the active tape through
+from the small ops below (the projecting loss against ``tensor.linear``
+followed by the loss on its logits), and check these ops themselves
+against finite differences.  They record on the active tape through
 ``tensor._make_output`` exactly as the program's ops do, so ``backward``
 treats both alike; no module under ``src/`` calls them.
 """

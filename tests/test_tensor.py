@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -86,6 +87,21 @@ class TestSoftmax:
     def test_bad_axis(self):
         with pytest.raises(ShapeError):
             R.softmax(Tensor([1.0, 2.0]), axis=3)
+
+    @pytest.mark.parametrize("block_bytes", [40, 1 << 20], ids=["blocks", "whole"])
+    def test_stable_log_softmax_in_place_equals_one_pass(self, monkeypatch, block_bytes):
+        # rows split into blocks of exp-sums get the same floats as one
+        # whole-array pass, in place
+        monkeypatch.setattr(T, "_EXP_BLOCK_BYTES", block_bytes)
+        x = np.random.default_rng(6).normal(size=(3, 5, 7)).astype(np.float32) * 20
+        shifted = x - x.max(axis=-1, keepdims=True)
+        shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        assert T.stable_log_softmax(x) is x
+        assert x.tobytes() == shifted.tobytes()
+
+    def test_stable_log_softmax_needs_an_array_it_can_overwrite(self):
+        with pytest.raises(ContractError):
+            T.stable_log_softmax(np.zeros((4, 6))[:, ::2])
 
 
 class TestLayerNorm:
@@ -382,6 +398,35 @@ class TestTapeMemory:
         assert list(grads) == list(grads_held) == leaves
         for leaf in leaves:
             assert grads[leaf].tobytes() == grads_held[leaf].tobytes()
+
+    def test_cross_entropy_holds_one_vocabulary_sized_array(self):
+        # tracemalloc peak above the inputs of one forward and backward:
+        # the op that projects the states holds one [rows, V] buffer, while
+        # ``linear`` followed by the op on its logits holds the logits and
+        # the op's copy at once
+        rows, vocab, depth = 256, 8192, 32
+        rng = np.random.default_rng(42)
+        x, w, b = (Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float32)
+                   for shape in ((rows // 8, 8, depth), (depth, vocab), (vocab,)))
+        targets = rng.integers(1, vocab, size=(rows // 8, 8))
+        targets[:, -2:] = 0
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                with GradTape() as tape:
+                    loss = build()
+                backward(tape, loss)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fused = peak(lambda: T.smoothed_cross_entropy(x, targets, targets != 0, 0.1, w, b))
+        composed = peak(lambda: T.smoothed_cross_entropy(
+            T.linear(x, w, b), targets, targets != 0, 0.1))
+        logits_bytes = rows * vocab * 4
+        assert fused < 1.3 * logits_bytes
+        assert composed >= 2 * logits_bytes
 
 
 class TestRowMax:
@@ -680,6 +725,57 @@ class TestFusedOps:
         with pytest.raises(ShapeError):
             T.smoothed_cross_entropy(z, np.array([1, 2]),
                                      np.ones(2, dtype=bool), 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_projected_cross_entropy_equals_linear_then_loss(self, eps):
+        # float32, bit for bit: the op that projects the states itself
+        # against ``linear`` followed by the op on the logits it returns
+        rng = np.random.default_rng(36)
+        targets = np.array([[1, 4, 6, 0], [2, 6, 3, 0], [5, 0, 0, 0]])
+        counted = targets != 0
+        arrays = {"x": rng.normal(size=(3, 4, 8)), "w": rng.normal(size=(8, 7)),
+                  "b": rng.normal(size=7)}
+
+        def run(build):
+            leaves = {name: Tensor(a, requires_grad=True, dtype=np.float32)
+                      for name, a in arrays.items()}
+            with GradTape() as tape:
+                loss = build(leaves)
+            grads = backward(tape, loss)
+            return (len(tape.entries), loss.data.tobytes(),
+                    {name: grads[t].tobytes() for name, t in leaves.items()})
+
+        fused = run(lambda t: T.smoothed_cross_entropy(
+            t["x"], targets, counted, eps, t["w"], t["b"]))
+        plain = run(lambda t: T.smoothed_cross_entropy(
+            T.linear(t["x"], t["w"], t["b"]), targets, counted, eps))
+        assert fused[0] == 1 and plain[0] == 2
+        assert fused[1:] == plain[1:]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_projected_cross_entropy_gradients(self, eps):
+        rng = np.random.default_rng(37)
+        targets = np.array([[1, 4, 0], [2, 0, 0]])
+        arrays = {"x": rng.normal(size=(2, 3, 5)), "w": rng.normal(size=(5, 6)),
+                  "b": rng.normal(size=6)}
+        _gradcheck_op(lambda t: T.smoothed_cross_entropy(
+            t["x"], targets, targets != 0, eps, t["w"], t["b"]), arrays)
+
+    def test_projected_cross_entropy_contract(self):
+        # each bad input fails as it does through ``linear`` and the op
+        # on its logits
+        x, w, b = Tensor(np.ones((1, 2, 4))), Tensor(np.ones((4, 3))), Tensor(np.ones(3))
+        ok_targets, ok_counted = np.array([[1, 2]]), np.ones((1, 2), dtype=bool)
+        cases = [(x, w, b, ok_targets, np.zeros((1, 2), dtype=bool)),
+                 (x, w, b, np.array([1, 2]), np.ones(2, dtype=bool)),
+                 (x, w, b, ok_targets, np.ones((2, 1), dtype=bool)),
+                 (x, Tensor(np.ones((5, 3))), b, ok_targets, ok_counted),
+                 (x, w, Tensor(np.ones(4)), ok_targets, ok_counted)]
+        for x_, w_, b_, targets, counted in cases:
+            with pytest.raises((ContractError, ShapeError)) as plain:
+                T.smoothed_cross_entropy(T.linear(x_, w_, b_), targets, counted, 0.1)
+            with pytest.raises(plain.type):
+                T.smoothed_cross_entropy(x_, targets, counted, 0.1, w_, b_)
 
     def test_constant_inputs_get_no_gradient(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)

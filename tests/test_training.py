@@ -11,8 +11,9 @@ from transference import training as TR
 from transference.errors import (CheckpointError, ConfigError, ContractError,
                                  TrainingError)
 from transference.model import (BOS_ID, EOS_ID, PAD_ID, Checkpoint,
-                                ModelConfig, init_params)
-from transference.tensor import Tensor
+                                ModelConfig, decode_forward, encode,
+                                init_params)
+from transference.tensor import GradTape, Tensor, backward
 from transference.training import (OptimizerState, PreparedPair,
                                    TrainConfig, adam_step,
                                    average_checkpoints, label_smoothed_loss,
@@ -179,6 +180,23 @@ class TestAdamStep:
             adam_step(params, {"w": np.array([np.nan])}, state, 0.1)
 
 
+class TestClipGradients:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_and_clipping_equal_the_two_temporary_formula(self, dtype):
+        rng = np.random.default_rng(13)
+        grads = {"w": rng.normal(size=(40, 30)).astype(dtype),
+                 "b": rng.normal(size=30).astype(dtype)}
+        inputs = {name: g.copy() for name, g in grads.items()}
+        expected = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                                 for g in inputs.values()))
+        assert TR.clip_gradients(grads, 1e9) == expected
+        for name, g in inputs.items():
+            assert grads[name].tobytes() == g.tobytes()
+        assert TR.clip_gradients(grads, 1.0) == expected
+        for name, g in inputs.items():
+            assert grads[name].tobytes() == (g * (1.0 / expected)).tobytes()
+
+
 def prepared(seed, n, src_len=(3, 7), tgt_len=(3, 7), vocab=20):
     rng = np.random.default_rng(seed)
     out = []
@@ -244,6 +262,33 @@ def mini_config(**overrides):
                     max_positions=32)
     defaults.update(overrides)
     return ModelConfig(**defaults)
+
+
+class TestForwardLoss:
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_equals_decode_forward_then_loss_on_logits(self, training):
+        # the states handed to the loss op give, bit for bit, the value and
+        # every parameter gradient of the logits path ``test_c1`` checks
+        cfg = mini_config(dropout=0.1)
+        params = init_params(cfg, seed=6).params
+        batch = make_batches(prepared(8, 6, vocab=24), 256, 32, seed=1, epoch=0)[0]
+        assert (batch.tgt_out == PAD_ID).any()
+
+        def run(build):
+            with GradTape() as tape:
+                loss = build(np.random.default_rng(9))
+            grads = backward(tape, loss)
+            return loss.data.tobytes(), {name: grads[p].tobytes()
+                                         for name, p in params.items() if p in grads}
+
+        def on_logits(rng):
+            encoded = encode(cfg, params, batch.source, training, rng)
+            logits = decode_forward(cfg, params, encoded, batch.tgt_in, training, rng)
+            return label_smoothed_loss(logits, batch.tgt_out, 0.1)
+
+        fused = run(lambda rng: TR.forward_loss(cfg, params, batch, 0.1, training, rng))
+        assert set(fused[1]) == set(params)
+        assert fused == run(on_logits)
 
 
 class TestAverageCheckpoints:
