@@ -7,13 +7,15 @@ per line, UTF-8, LF endings.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import IO, Iterable, Iterator
 
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError, DataError, TransferenceError
 
 
 @dataclass(frozen=True)
@@ -186,15 +188,32 @@ def read_lines(path: str) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
-def write_text(path: str, chunks: Iterable[str]) -> None:
-    """Write the concatenation of ``chunks`` as a UTF-8 file; a file that
-    cannot be created (a missing directory, no permission) raises
-    DataError naming it."""
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "w", error: type[TransferenceError] = DataError,
+              **open_args) -> Iterator[IO]:
+    """Open ``<path>.tmp`` for writing and rename it over ``path`` once the
+    block ends, so ``path`` holds either its old bytes or all of the new
+    ones.  If the block or the rename fails, the temp file is removed; an
+    OSError raises ``error`` naming ``path``."""
+    tmp = f"{path}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot write: {exc.strerror}") from None
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise error(f"{path}: cannot write: {exc.strerror}") from None
+        raise
+
+
+def write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenation of ``chunks`` as a UTF-8 file (``replacing``);
+    a file that cannot be created (a missing directory, no permission)
+    raises DataError naming it."""
+    with replacing(path, encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
 
 
 def write_lines(path: str, lines: Iterable[str]) -> None:

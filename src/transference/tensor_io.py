@@ -3,7 +3,7 @@
 Layout: the magic string ``TFRX1``, then one record per tensor in
 insertion order: name length (u64 LE), UTF-8 name bytes, rank (u64 LE),
 the dims (u64 LE each), and the payload as little-endian IEEE-754 32-bit
-floats in row-major order.  Writes are atomic (temp file then rename); a
+floats in row-major order.  Writes are atomic (``corpus.replacing``); a
 file that cannot be read or written raises CheckpointError naming it.
 """
 
@@ -14,28 +14,24 @@ import struct
 
 import numpy as np
 
+from .corpus import replacing
 from .errors import CheckpointError
 
 MAGIC = b"TFRX1"
 
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            for name, arr in tensors.items():
-                name_bytes = name.encode("utf-8")
-                arr = np.ascontiguousarray(arr, dtype="<f4")
-                fh.write(struct.pack("<Q", len(name_bytes)))
-                fh.write(name_bytes)
-                fh.write(struct.pack("<Q", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<Q", dim))
-                fh.write(arr.tobytes(order="C"))
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot write: {exc.strerror}") from None
+    with replacing(path, "wb", CheckpointError) as fh:
+        fh.write(MAGIC)
+        for name, arr in tensors.items():
+            name_bytes = name.encode("utf-8")
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+            fh.write(struct.pack("<Q", len(name_bytes)))
+            fh.write(name_bytes)
+            fh.write(struct.pack("<Q", arr.ndim))
+            for dim in arr.shape:
+                fh.write(struct.pack("<Q", dim))
+            fh.write(arr.tobytes(order="C"))
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:

@@ -1,15 +1,16 @@
 """Training loop: token-bucketed batching, label-smoothed loss, Adam with
 the inverse-square-root warmup schedule, per-epoch checkpointing, best-k
-checkpoint averaging, and the generic -> fine-tune regime."""
+checkpoint averaging, and the generic -> fine-tune regime.
+
+Steps reuse the heap pages the previous step freed under the heap policy
+that importing ``transference`` fixes for the process (glibc only)."""
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import io
 import math
 import os
-import platform
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -338,23 +339,6 @@ class TrainResult:
     aborted: bool = False
 
 
-def _keep_freed_heap() -> None:
-    """Keep freed memory on the C heap between training steps (glibc only).
-
-    The tape frees each array once no backward rule reads it, so at the
-    end of a step the top of the heap is free, and glibc's default
-    thresholds hand those pages back to the kernel; the next step then
-    faults every page in again.  Fixed thresholds keep arrays below
-    32 MiB on the heap and trim only above 64 MiB of free top, so steps
-    reuse the same pages.  No float changes; other C libraries are left
-    as they are."""
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
-
-
 def train(generic_pairs: list[PreparedPair],
           finetune_pairs: list[PreparedPair],
           val_pairs: list[PreparedPair],
@@ -376,7 +360,6 @@ def train(generic_pairs: list[PreparedPair],
         os.makedirs(ckpt_dir, exist_ok=True)
     except OSError as exc:
         raise CheckpointError(f"{ckpt_dir}: cannot create: {exc.strerror}") from None
-    _keep_freed_heap()
     config = checkpoint.config
     params = checkpoint.params
     state = OptimizerState.for_params(params, step=checkpoint.step)

@@ -1,5 +1,7 @@
 """Cleaning, normalization, tokenization, truecasing, postprocessing."""
 
+import errno
+import os
 import unicodedata
 from pathlib import Path
 
@@ -255,6 +257,25 @@ class TestFileIO:
         path = str(tmp_path / "nodir" / "c.txt")
         with pytest.raises(DataError, match="nodir/c.txt: cannot write"):
             C.write_lines(path, ["a"])
+
+    @pytest.mark.parametrize("exc, raised", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), DataError),
+        (RuntimeError("stopped"), RuntimeError),
+    ], ids=["disk-full", "interrupted"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, exc, raised):
+        path = tmp_path / "c.txt"
+        C.write_lines(str(path), ["old"])
+
+        def lines():
+            yield "new"
+            raise exc
+
+        with pytest.raises(raised) as info:
+            C.write_lines(str(path), lines())
+        if raised is DataError:
+            assert str(info.value) == f"{path}: cannot write: No space left on device"
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
     @pytest.mark.parametrize("save", [
         lambda path: Vocab(["a", "b"]).save(path),

@@ -270,5 +270,6 @@ class TestConfigLoading:
                     "ckpt/epoch_1.tfrx", "ckpt/loss_log.csv",
                     "out/report.json", "manifests/train.json"):
             assert os.path.exists(os.path.join(workdir, rel)), rel
+        assert not list(Path(workdir).rglob("*.tmp"))
         report = json.loads(Path(workdir, "out", "report.json").read_text())
         assert set(report) >= {"bleu", "ter", "precisions"}

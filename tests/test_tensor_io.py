@@ -1,13 +1,17 @@
 """Named-tensor container format round trips and wire layout."""
 
+import errno
 import json
+import os
 import struct
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from transference import tensor_io
 from transference.cli import main
 from transference.errors import CheckpointError
 from transference.model import Checkpoint, ModelConfig, init_params
@@ -27,6 +31,27 @@ def test_roundtrip(tmp_path):
     assert list(loaded.keys()) == list(tensors.keys())
     for name in tensors:
         np.testing.assert_array_equal(loaded[name], tensors[name])
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.tfrx"
+    save_tensors(str(path), {"w": np.ones((2, 3), dtype=np.float32)})
+    old = path.read_bytes()
+    packed = []
+
+    def pack(fmt, *values):
+        packed.append(fmt)
+        if len(packed) == 4:  # the second tensor's name length
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return struct.pack(fmt, *values)
+
+    monkeypatch.setattr(tensor_io, "struct", SimpleNamespace(pack=pack))
+    with pytest.raises(CheckpointError) as info:
+        save_tensors(str(path), {"a": np.zeros(4, dtype=np.float32),
+                                 "b": np.zeros(2, dtype=np.float32)})
+    assert str(info.value) == f"{path}: cannot write: No space left on device"
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.tfrx"]
 
 
 def test_wire_layout(tmp_path):
