@@ -12,12 +12,12 @@ from dataclasses import replace
 
 from . import corpus as C
 from .bpe import BpeModel, apply_bpe, decode_bpe
-from .errors import ConfigError, TransferenceError
+from .errors import ConfigError, TransferenceError, at_least
 from .metrics import bleu, ter
 from .model import Checkpoint, Vocab
-from .pipeline import (CONFIG_KEYS, PipelineConfig, clean_pairs, evaluate_files,
-                       learn_merges, lm_train, load_pipeline_config, map_lines,
-                       read_pairs, read_tokens, run_pipeline, score_corpus,
+from .pipeline import (CONFIG_KEYS, PipelineConfig, check_vocab_sizes, clean_pairs,
+                       evaluate_files, learn_merges, lm_train, load_pipeline_config,
+                       map_lines, read_pairs, read_tokens, run_pipeline, score_corpus,
                        segment_files, select_split, source_batch, train_model,
                        train_truecaser, truecase_files)
 from .search import translate_batch_nbest
@@ -76,11 +76,11 @@ def _cmd_average(args) -> None:
 
 
 def _cmd_translate(args) -> None:
-    if args.nbest is not None and args.nbest < 1:
-        raise ConfigError(f"--nbest must be >= 1, got {args.nbest}")
     word_vocab = Vocab.load(args.word_vocab)
     bpe_vocab = Vocab.load(args.bpe_vocab)
     checkpoint = Checkpoint.load(args.checkpoint)
+    check_vocab_sizes(args.checkpoint, checkpoint.config, (args.word_vocab, word_vocab),
+                      (args.bpe_vocab, bpe_vocab))
     if args.preprocess:
         if not (args.truecase_model and args.bpe_merges):
             raise ConfigError("--preprocess needs --truecase-model and --bpe-merges")
@@ -254,7 +254,7 @@ def build_parser() -> _Parser:
                    default=PipelineConfig.decode_max_len)
     p.add_argument("--alpha", type=decode["length_alpha"],
                    default=PipelineConfig.length_alpha)
-    p.add_argument("--nbest", type=int)
+    p.add_argument("--nbest", type=at_least(int, 1))
     p.add_argument("--preprocess", action="store_true")
     p.add_argument("--truecase-model")
     p.add_argument("--bpe-merges")

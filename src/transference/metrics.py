@@ -51,6 +51,15 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _check_corpus(metric: str, hypotheses: list[str], references: list[str]) -> None:
+    """A ContractError for an empty corpus or for line counts that differ."""
+    if not hypotheses:
+        raise ContractError(f"{metric} over an empty corpus")
+    if len(hypotheses) != len(references):
+        raise ContractError(f"line counts differ: {len(hypotheses)} hypotheses, "
+                            f"{len(references)} references")
+
+
 def bleu(hypotheses: list[str], references: list[str],
          max_n: int = 4) -> float:
     """Corpus BLEU: uniform-weight geometric mean of clipped modified
@@ -62,12 +71,7 @@ def bleu(hypotheses: list[str], references: list[str],
 
 def _bleu_details(hypotheses: list[str], references: list[str],
                   max_n: int = 4) -> tuple[float, list[float], float]:
-    if not hypotheses:
-        raise ContractError("BLEU over an empty corpus")
-    if len(hypotheses) != len(references):
-        raise ContractError(
-            f"line counts differ: {len(hypotheses)} hypotheses, "
-            f"{len(references)} references")
+    _check_corpus("BLEU", hypotheses, references)
     matched = [0] * max_n
     total = [0] * max_n
     hyp_len = 0
@@ -186,7 +190,7 @@ def _sentence_edits(hyp: list[str], ref: list[str], max_shifts: int = 50,
     pattern = _Pattern(ref)
     ref_spans = {tuple(ref[i:i + n]) for n in range(1, max_span + 1)
                  for i in range(len(ref) - n + 1)}
-    base = _levenshtein(current, ref)
+    base = pattern.run(pattern.start, 0, current)[2]
     shifts = 0
     while shifts < max_shifts and base > 0 and len(current) > 1:
         length = len(current)
@@ -226,12 +230,7 @@ def _sentence_edits(hyp: list[str], ref: list[str], max_shifts: int = 50,
 def ter(hypotheses: list[str], references: list[str]) -> float:
     """Corpus TER: total edits (insertions, deletions, substitutions, and
     unit-cost phrase shifts) over total reference tokens, x100."""
-    if not hypotheses:
-        raise ContractError("TER over an empty corpus")
-    if len(hypotheses) != len(references):
-        raise ContractError(
-            f"line counts differ: {len(hypotheses)} hypotheses, "
-            f"{len(references)} references")
+    _check_corpus("TER", hypotheses, references)
     total_edits = 0
     total_ref = 0
     for hyp_line, ref_line in zip(hypotheses, references):

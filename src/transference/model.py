@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import read_lines, write_lines, write_text
 from .errors import (CheckpointError, ConfigError, ContractError, Setting,
-                     at_least, check_fields)
+                     at_least, check_fields, checked)
 from .tensor import MASK_VALUE, Tensor
 from .tensor_io import load_tensors, save_tensors
 
@@ -154,7 +154,7 @@ class Checkpoint:
             raise CheckpointError(f"{base}.json is not JSON: {exc}") from exc
         try:
             config = ModelConfig.from_dict(sidecar["config"])
-            step = int(sidecar["step"])
+            step = checked("step", at_least(int, 0).check, sidecar["step"])
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointError(
                 f"{base}.json: malformed sidecar: {exc!r}") from exc
@@ -488,21 +488,22 @@ def init_params(config: ModelConfig, seed: int,
     return Checkpoint(params, config, step=0)
 
 
+def pad_ids(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged id rows as one [rows, longest] int64 array padded with
+    ``PAD_ID``, and the boolean mask that is True at the padding."""
+    width = max((len(r) for r in rows), default=0)
+    ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
+    pad_mask = np.ones((len(rows), width), dtype=bool)
+    for i, row in enumerate(rows):
+        ids[i, :len(row)] = row
+        pad_mask[i, :len(row)] = False
+    return ids, pad_mask
+
+
 def make_source_batch(word_ids: list[list[int]],
                       sub_ids: list[list[int]]) -> SourceBatch:
-    """Pad ragged id lists into a SourceBatch (pad id 0)."""
-    def pad(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-        width = max((len(r) for r in rows), default=0)
-        ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
-        pad_mask = np.ones((len(rows), width), dtype=bool)
-        for i, row in enumerate(rows):
-            ids[i, :len(row)] = row
-            pad_mask[i, :len(row)] = False
-        return ids, pad_mask
-
-    f_w, f_w_pad = pad(word_ids)
-    f_s, f_s_pad = pad(sub_ids)
-    return SourceBatch(f_w, f_w_pad, f_s, f_s_pad)
+    """Pad ragged id lists into a SourceBatch (``pad_ids``)."""
+    return SourceBatch(*pad_ids(word_ids), *pad_ids(sub_ids))
 
 
 def check_source(source: SourceBatch, max_positions: int) -> None:

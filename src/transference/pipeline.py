@@ -33,8 +33,8 @@ from dataclasses import dataclass, field, replace
 from . import corpus as C
 from . import ngram as N
 from .bpe import BpeModel, apply_bpe, decode_bpe, learn_bpe
-from .errors import (ConfigError, ContractError, DataError, Setting, StageError,
-                     at_least, checked)
+from .errors import (CheckpointError, ConfigError, ContractError, DataError, Setting,
+                     StageError, at_least, checked)
 from .metrics import EvalReport, evaluate_corpus
 from .model import (MODEL_RULES, Checkpoint, ModelConfig, SourceBatch, Vocab,
                     check_source, init_params, make_source_batch)
@@ -299,6 +299,16 @@ def source_batch(word_vocab: Vocab, bpe_vocab: Vocab,
                              [bpe_vocab.encode(s) for s in subs])
 
 
+def check_vocab_sizes(checkpoint_path: str, config: ModelConfig,
+                      word_vocab: tuple[str, Vocab], bpe_vocab: tuple[str, Vocab]) -> None:
+    """A CheckpointError unless each (path, vocabulary) pair holds as many
+    entries as ``config``, read from ``checkpoint_path``, gives."""
+    for (path, vocab), key in ((word_vocab, "word_vocab_size"), (bpe_vocab, "bpe_vocab_size")):
+        if len(vocab) != getattr(config, key):
+            raise CheckpointError(f"{path} holds {len(vocab)} entries, but "
+                                  f"{checkpoint_path} has {key} {getattr(config, key)}")
+
+
 def train_model(cfg: PipelineConfig, word_vocab_path: str, bpe_vocab_path: str,
                 generic: tuple[str, str] | None,
                 finetune: tuple[str, str] | None,
@@ -313,6 +323,8 @@ def train_model(cfg: PipelineConfig, word_vocab_path: str, bpe_vocab_path: str,
     bpe_vocab = Vocab.load(bpe_vocab_path)
     if init:
         checkpoint = Checkpoint.load(init)
+        check_vocab_sizes(init, checkpoint.config, (word_vocab_path, word_vocab),
+                          (bpe_vocab_path, bpe_vocab))
     else:
         checkpoint = init_params(replace(
             cfg.model, bpe_vocab_size=len(bpe_vocab),

@@ -230,37 +230,38 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _make_output(out, (a,), rule)
 
 
-def _check_linear(x: Tensor, w: Tensor, b: Tensor | None) -> None:
+def _affine(x: Tensor, w: Tensor, b: Tensor | None):
+    """x @ w (+ b) for x [..., d], w [d, k] and b [k] as one [rows, d] GEMM:
+    the [rows, k] result, the inputs to record, and the rule giving their
+    gradients as two flat GEMMs and one column sum."""
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear input {x.shape} does not fit weight {w.shape}")
     if b is not None and b.data.shape != w.data.shape[1:]:
         raise ShapeError(f"linear bias {b.shape} does not fit weight {w.shape}")
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b) for x [..., d], w [d, k] and b [k], as one op: one
-    [rows, d] GEMM, both gradients as flat GEMMs and the bias gradient as
-    one column sum."""
-    _check_linear(x, w, b)
     d, k = w.data.shape
-    lead = x.data.shape[:-1]
-    rows = math.prod(lead)
+    shape = x.data.shape
+    rows = math.prod(shape[:-1])
     x2 = x.data.reshape(rows, d)
     w_data = w.data
     out = x2 @ w_data
     if b is not None:
         out += b.data
-    inputs = (x, w) if b is None else (x, w, b)
     x_grad, w_grad = x.requires_grad, w.requires_grad
     b_grad = b is not None and b.requires_grad
 
     def rule(g):
         g2 = g.reshape(rows, k)
-        return ((g2 @ w_data.T).reshape(lead + (d,)) if x_grad else None,
+        return ((g2 @ w_data.T).reshape(shape) if x_grad else None,
                 x2.T @ g2 if w_grad else None,
                 g2.sum(axis=0) if b_grad else None)
 
-    return _make_output(out.reshape(lead + (k,)), inputs, rule)
+    return out, ((x, w) if b is None else (x, w, b)), rule
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for x [..., d], w [d, k] and b [k], as one op (``_affine``)."""
+    out, inputs, rule = _affine(x, w, b)
+    return _make_output(out.reshape(x.data.shape[:-1] + out.shape[1:]), inputs, rule)
 
 
 def _to_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -494,7 +495,7 @@ def smoothed_cross_entropy(x: Tensor, targets: np.ndarray,
 
     Given ``weight`` [d, V] (and ``bias`` [V]), ``x`` [..., d] holds the
     states the output projection reads, and the op computes the logits
-    ``x @ weight + bias`` with ``linear``'s float operations; without
+    ``x @ weight + bias`` with ``linear``'s kernel, ``_affine``; without
     them ``x`` holds the logits [..., V] and the op works on one copy.
     ``targets`` and the boolean ``counted`` have the shape of ``x``
     without its last axis.
@@ -503,11 +504,11 @@ def smoothed_cross_entropy(x: Tensor, targets: np.ndarray,
     log-probabilities in place.  The backward rule keeps only that buffer
     (and ``x`` and ``weight``), overwrites it with the logits gradient,
     ((a + s V) p - s - a onehot) / n at counted positions with
-    s = eps / (V - 1) and a = 1 - eps - s, and runs ``linear``'s two
-    GEMMs and bias sum on it."""
+    s = eps / (V - 1) and a = 1 - eps - s, and hands it to
+    ``_affine``'s rule."""
     project = weight is not None
     if project:
-        _check_linear(x, weight, bias)
+        logp, inputs, affine_rule = _affine(x, weight, bias)
     targets = np.asarray(targets)
     counted = np.asarray(counted, dtype=bool)
     if targets.shape != x.data.shape[:-1] or counted.shape != targets.shape:
@@ -520,12 +521,7 @@ def smoothed_cross_entropy(x: Tensor, targets: np.ndarray,
     rows, depth = targets.size, x.data.shape[-1]
     flat_targets = targets.reshape(-1)
     flat_counted = counted.reshape(-1)
-    if project:
-        x2, w_data = x.data.reshape(rows, depth), weight.data
-        logp = x2 @ w_data
-        if bias is not None:
-            logp += bias.data
-    else:
+    if not project:
         logp = np.array(x.data, order="C").reshape(rows, depth)
     vocab = logp.shape[-1]
     kind = logp.dtype.type
@@ -544,16 +540,7 @@ def smoothed_cross_entropy(x: Tensor, targets: np.ndarray,
         grad *= (flat_counted * (g / n)).astype(grad.dtype)[:, None]
         return grad
 
+    if project:
+        return _make_output(out, inputs, lambda g: affine_rule(logits_grad(g)))
     shape = x.data.shape
-    if not project:
-        return _make_output(out, (x,), lambda g: (logits_grad(g).reshape(shape),))
-    x_grad, w_grad = x.requires_grad, weight.requires_grad
-    b_grad = bias is not None and bias.requires_grad
-
-    def rule(g):
-        g2 = logits_grad(g)
-        return ((g2 @ w_data.T).reshape(shape) if x_grad else None,
-                x2.T @ g2 if w_grad else None,
-                g2.sum(axis=0) if b_grad else None)
-
-    return _make_output(out, (x, weight) if bias is None else (x, weight, bias), rule)
+    return _make_output(out, (x,), lambda g: (logits_grad(g).reshape(shape),))

@@ -21,7 +21,7 @@ from .corpus import write_text
 from .errors import (CheckpointError, ConfigError, ContractError, Setting,
                      TrainingError, at_least, check_fields)
 from .model import (Checkpoint, ModelConfig, PAD_ID, BOS_ID, EOS_ID,
-                    SourceBatch, decode_forward, encode, make_source_batch)
+                    SourceBatch, decode_forward, encode, make_source_batch, pad_ids)
 from .tensor import GradTape, Tensor, backward
 
 
@@ -170,15 +170,8 @@ class Batch:
 def _build_batch(pairs: list[PreparedPair]) -> Batch:
     source = make_source_batch([list(p.word_ids) for p in pairs],
                                [list(p.sub_ids) for p in pairs])
-    width = max(len(p.tgt_ids) for p in pairs) + 1
-    tgt_in = np.full((len(pairs), width), PAD_ID, dtype=np.int64)
-    tgt_out = np.full((len(pairs), width), PAD_ID, dtype=np.int64)
-    for i, p in enumerate(pairs):
-        row = list(p.tgt_ids)
-        tgt_in[i, 0] = BOS_ID
-        tgt_in[i, 1:len(row) + 1] = row
-        tgt_out[i, :len(row)] = row
-        tgt_out[i, len(row)] = EOS_ID
+    tgt_in, _ = pad_ids([(BOS_ID, *p.tgt_ids) for p in pairs])
+    tgt_out, _ = pad_ids([(*p.tgt_ids, EOS_ID) for p in pairs])
     return Batch(source, tgt_in, tgt_out, tuple(pairs))
 
 
@@ -238,10 +231,13 @@ def average_checkpoints(checkpoints: Iterable[Checkpoint]) -> Checkpoint:
         if not count:
             acc = {name: np.zeros(t.shape, dtype=np.float64)
                    for name, t in ckpt.params.items()}
+            heads = ckpt.config.heads
         elif set(ckpt.params.keys()) != set(acc):
             extra = set(ckpt.params.keys()) ^ set(acc)
             raise CheckpointError(
                 f"checkpoint parameter names differ: {sorted(extra)[0]}")
+        elif ckpt.config.heads != heads:
+            raise CheckpointError(f"heads mismatch: {ckpt.config.heads} vs {heads}")
         for name, total in acc.items():
             if ckpt.params[name].shape != total.shape:
                 raise CheckpointError(f"shape mismatch for tensor '{name}': "

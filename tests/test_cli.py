@@ -259,6 +259,20 @@ class TestAverageCommand:
                          + b.params[name].data) / 2).astype(np.float32)
             np.testing.assert_array_equal(avg.params[name].data, expected)
 
+    def test_head_count_mismatch_is_2_and_named(self, tmp_path, capsys):
+        paths = []
+        for heads in (2, 4):
+            cfg = ModelConfig(bpe_vocab_size=10, word_vocab_size=10,
+                              n_layers_fw=1, n_layers_fs=1, n_layers_es=1,
+                              n_layers_dec=1, d_model=8, d_ff=16, heads=heads,
+                              dropout=0.0, max_positions=8)
+            paths.append(str(tmp_path / f"h{heads}.tfrx"))
+            init_params(cfg, seed=heads).save(paths[-1])
+        out = tmp_path / "avg.tfrx"
+        assert run_cli("average", "--inputs", *paths, "--output", str(out)) == 2
+        assert "heads mismatch: 4 vs 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_output_directory_is_2_and_named(self, tmp_path, capsys):
         cfg = ModelConfig(bpe_vocab_size=10, word_vocab_size=10,
                           n_layers_fw=1, n_layers_fs=1, n_layers_es=1,
@@ -504,6 +518,36 @@ class TestTranslateNbest:
                        "--word-vocab", str(tmp_path / "word.vocab"),
                        "--bpe-vocab", str(tmp_path / "bpe.vocab")) == 2
         assert "log-probabilities contain NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, size", [("--bpe-vocab", 40), ("--word-vocab", 30)],
+                             ids=["bpe_vocab", "word_vocab"])
+    def test_vocabulary_that_does_not_fit_the_checkpoint_is_2_and_named(
+            self, tmp_path, capsys, flag, size):
+        bpe = Vocab(["a</w>", "b</w>"])
+        words = Vocab(["a", "b"])
+        sizes = {"--bpe-vocab": len(bpe), "--word-vocab": len(words), flag: size}
+        cfg = ModelConfig(bpe_vocab_size=sizes["--bpe-vocab"],
+                          word_vocab_size=sizes["--word-vocab"],
+                          n_layers_fw=1, n_layers_fs=1, n_layers_es=1,
+                          n_layers_dec=1, d_model=8, d_ff=16, heads=2,
+                          dropout=0.0, max_positions=6)
+        ckpt_path = str(tmp_path / "m.tfrx")
+        init_params(cfg, seed=3).save(ckpt_path)
+        paths = {"--bpe-vocab": str(tmp_path / "bpe.vocab"),
+                 "--word-vocab": str(tmp_path / "word.vocab")}
+        bpe.save(paths["--bpe-vocab"])
+        words.save(paths["--word-vocab"])
+        write_lines(str(tmp_path / "in.bpe"), ["a</w> b</w>"])
+        assert run_cli("translate", "--checkpoint", ckpt_path,
+                       "--input", str(tmp_path / "in.bpe"),
+                       "--word-vocab", paths["--word-vocab"],
+                       "--bpe-vocab", paths["--bpe-vocab"],
+                       "--output", str(tmp_path / "out.txt")) == 2
+        err = capsys.readouterr().err
+        assert paths[flag] in err and ckpt_path in err
+        key = flag[2:].replace("-vocab", "_vocab_size")
+        assert "holds 6 entries" in err and f"{key} {size}" in err
+        assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("nbest", ["0", "-1"])
     def test_nbest_below_one_is_1_and_named(self, tmp_path, capsys, nbest):
@@ -856,6 +900,24 @@ class TestTrainingCommands:
         start = Checkpoint.load(init)
         assert tuned.step > start.step
         assert sorted(p.name for p in ckpt.glob("epoch_*.tfrx")) == ["epoch_1.tfrx"]
+
+    def test_finetune_from_init_with_another_vocabulary_is_2_and_named(
+            self, pipeline_work, tmp_path, capsys):
+        root, ini = pipeline_work
+        work = str(root / "work")
+        init = os.path.join(work, "ckpt", "averaged.tfrx")
+        bpe_vocab = str(tmp_path / "small.vocab")
+        Vocab(["a</w>", "b</w>"]).save(bpe_vocab)
+        flags = self.common(work, "selected")
+        flags[flags.index("--bpe-vocab") + 1] = bpe_vocab
+        ckpt = tmp_path / "ft"
+        assert run_cli("finetune", "--config", ini, *flags, "--ckpt-dir", str(ckpt),
+                       "--init", init, "--epochs", "1") == 2
+        err = capsys.readouterr().err
+        size = Checkpoint.load(init).config.bpe_vocab_size
+        assert bpe_vocab in err and init in err
+        assert "holds 6 entries" in err and f"bpe_vocab_size {size}" in err
+        assert not ckpt.exists()
 
     def test_word_ids_are_the_word_files(self, pipeline_work):
         # the first encoder's words, derived from the segmented source,

@@ -204,6 +204,23 @@ def test_non_integer_sidecar_size_is_a_checkpoint_error(tmp_path, capsys, name,
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, cause", [
+    (2.7, "step: bad value 2.7"), (True, "step: bad value True"),
+    ("7", "step: bad value '7'"), (-4, "step must be >= 0, got -4"),
+], ids=["fractional", "bool", "string", "negative"])
+def test_bad_sidecar_step_is_a_checkpoint_error(tmp_path, capsys, value, cause):
+    path = _tiny_checkpoint(tmp_path)
+    sidecar = tmp_path / "m.json"
+    data = json.loads(sidecar.read_text(encoding="utf-8"))
+    data["step"] = value
+    sidecar.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(CheckpointError, match=rf"m\.json: .*{cause}"):
+        Checkpoint.load(path)
+    assert main(["average", "--inputs", path, path,
+                 "--output", str(tmp_path / "avg.tfrx")]) == 2
+    assert cause in capsys.readouterr().err
+
+
 def test_sidecar_config_must_fit_the_tensors(tmp_path, capsys):
     path = _tiny_checkpoint(tmp_path)
     sidecar = tmp_path / "m.json"
